@@ -40,6 +40,7 @@
 //! ```
 
 use core::fmt;
+use core::marker::PhantomData;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::hash::Hash;
@@ -47,12 +48,14 @@ use std::hash::Hash;
 use crate::bus::{Access, AccessKind, BusState, BusWidth};
 use crate::codes::{
     BeachCode, BinaryDecoder, BinaryEncoder, BusInvertDecoder, BusInvertEncoder, DualT0BiDecoder,
-    DualT0BiEncoder, DualT0Decoder, DualT0Encoder, EccHardened, GrayDecoder, GrayEncoder, Hardened,
-    OffsetDecoder, OffsetEncoder, SelfOrganizingDecoder, SelfOrganizingEncoder, T0BiDecoder,
-    T0BiEncoder, T0Decoder, T0Encoder, T0XorDecoder, T0XorEncoder, WorkingZoneDecoder,
-    WorkingZoneEncoder,
+    DualT0BiEncoder, DualT0Decoder, DualT0Encoder, GrayDecoder, GrayEncoder, LineCheck,
+    OffsetDecoder, OffsetEncoder, Parity, Protected, SecDed, SelfOrganizingDecoder,
+    SelfOrganizingEncoder, T0BiDecoder, T0BiEncoder, T0Decoder, T0Encoder, T0XorDecoder,
+    T0XorEncoder, WorkingZoneDecoder, WorkingZoneEncoder,
 };
 use crate::error::CodecError;
+use crate::snapshot::self_org_geometry;
+use crate::tier::Tier;
 use crate::traits::{CodeKind, CodeParams, Decoder, Encoder};
 
 /// Exploration budgets for [`check_code`].
@@ -200,27 +203,16 @@ impl fmt::Display for Verdict {
     }
 }
 
+/// A failed check: the property's name and what went wrong.
+type Violation = Option<(&'static str, String)>;
+
 /// The per-transition invariant check: given the previous bus word, the
 /// word just driven, and the access that produced it, return a violation
 /// description or `None`.
-type Invariant = fn(BusState, BusState, Access, BusWidth) -> Option<(&'static str, String)>;
-
-fn no_invariant(
-    _: BusState,
-    _: BusState,
-    _: Access,
-    _: BusWidth,
-) -> Option<(&'static str, String)> {
-    None
-}
+type Invariant = fn(BusState, BusState, Access, BusWidth) -> Violation;
 
 /// T0 / T0_BI: `INC` asserted means the payload lines are frozen.
-fn t0_freeze(
-    prev: BusState,
-    word: BusState,
-    _: Access,
-    _: BusWidth,
-) -> Option<(&'static str, String)> {
+fn t0_freeze(prev: BusState, word: BusState, _: Access, _: BusWidth) -> Violation {
     if word.aux & 1 == 1 && word.payload != prev.payload {
         return Some((
             "t0-freeze",
@@ -235,12 +227,7 @@ fn t0_freeze(
 
 /// Dual T0: the freeze only applies on instruction (`SEL = 1`) cycles —
 /// and the encoder never asserts `INC` on data cycles at all.
-fn dual_t0_freeze(
-    prev: BusState,
-    word: BusState,
-    access: Access,
-    _: BusWidth,
-) -> Option<(&'static str, String)> {
+fn dual_t0_freeze(prev: BusState, word: BusState, access: Access, _: BusWidth) -> Violation {
     if word.aux & 1 == 1 {
         if access.kind == AccessKind::Data {
             return Some((
@@ -263,12 +250,7 @@ fn dual_t0_freeze(
 
 /// Bus-invert: consecutive bus words (payload plus the `INV` line) differ
 /// in at most `⌊W/2⌋ + 1` positions.
-fn bus_invert_bound(
-    prev: BusState,
-    word: BusState,
-    _: Access,
-    width: BusWidth,
-) -> Option<(&'static str, String)> {
+fn bus_invert_bound(prev: BusState, word: BusState, _: Access, width: BusWidth) -> Violation {
     let bound = width.bits() / 2 + 1;
     let got = word.transitions_from(prev);
     if got > bound {
@@ -288,7 +270,7 @@ fn dual_t0_bi_invariant(
     word: BusState,
     access: Access,
     width: BusWidth,
-) -> Option<(&'static str, String)> {
+) -> Violation {
     match access.kind {
         AccessKind::Instruction => {
             if word.aux & 1 == 1 && word.payload != prev.payload {
@@ -320,12 +302,7 @@ fn dual_t0_bi_invariant(
 /// T0_BI: `INC` freeze plus a (looser) transition bound on non-frozen
 /// cycles — the encoder minimizes over plain/inverted against two
 /// redundant lines, so the bound is `⌊W/2⌋ + 2`.
-fn t0_bi_invariant(
-    prev: BusState,
-    word: BusState,
-    access: Access,
-    width: BusWidth,
-) -> Option<(&'static str, String)> {
+fn t0_bi_invariant(prev: BusState, word: BusState, access: Access, width: BusWidth) -> Violation {
     if let Some(v) = t0_freeze(prev, word, access, width) {
         return Some(v);
     }
@@ -342,6 +319,18 @@ fn t0_bi_invariant(
     None
 }
 
+/// The code-specific invariant [`check_code`] verifies for `kind`.
+fn invariant_of(kind: CodeKind) -> Invariant {
+    match kind {
+        CodeKind::BusInvert => bus_invert_bound,
+        CodeKind::T0 => t0_freeze,
+        CodeKind::T0Bi => t0_bi_invariant,
+        CodeKind::DualT0 => dual_t0_freeze,
+        CodeKind::DualT0Bi => dual_t0_bi_invariant,
+        _ => |_, _, _, _| None,
+    }
+}
+
 /// Product-automaton state: both codec halves plus the last bus word (the
 /// invariants are relations between consecutive words).
 type State<E, D> = (E, D, BusState);
@@ -353,20 +342,45 @@ struct Exploration<E, D> {
     transitions: u64,
 }
 
+/// One explored transition, as a property hook sees it.
+struct Step<'a, E, D> {
+    /// The pre-transition state.
+    pre: &'a State<E, D>,
+    access: Access,
+    /// The word the encoder drove onto the bus.
+    word: BusState,
+    /// The post-transition encoder and decoder.
+    enc: &'a E,
+    dec: &'a D,
+    /// True when the post-transition state has not been reached before.
+    fresh: bool,
+    width: BusWidth,
+}
+
+impl<E, D> Step<'_, E, D> {
+    /// The address a correct decode recovers.
+    fn expected(&self) -> u64 {
+        self.access.address & self.width.mask()
+    }
+}
+
 /// Breadth-first exhaustive exploration of one codec pair.
+///
+/// Every transition is checked for round-trip, then handed to `property`
+/// — the code's invariants, or a protection wrapper's fault contract —
+/// whose first violation fails the search with a replayable trace.
 fn explore<E, D>(
     kind: CodeKind,
-    params: CodeParams,
+    width: BusWidth,
     encoder: E,
     decoder: D,
-    invariant: Invariant,
     config: &CheckConfig,
+    property: impl Fn(&Step<'_, E, D>) -> Violation,
 ) -> Verdict
 where
     E: Encoder + Clone + Eq + Hash,
     D: Decoder + Clone + Eq + Hash,
 {
-    let width = params.width;
     let mask = width.mask();
     let alphabet: Vec<Access> = (0..=mask)
         .flat_map(|a| [Access::instruction(a), Access::data(a)])
@@ -393,40 +407,45 @@ where
                 };
             }
             exploration.transitions += 1;
-            let (mut enc, mut dec, prev_word) = exploration.states[index].clone();
+            let pre = &exploration.states[index];
+            let (mut enc, mut dec) = (pre.0.clone(), pre.1.clone());
             let word = enc.encode(access);
             let decoded = dec.decode(word, access.kind);
-            let round_trip_ok = decoded.as_ref().is_ok_and(|&a| a == access.address & mask);
-            if !round_trip_ok {
-                let detail = match &decoded {
-                    Ok(addr) => format!("decoded {addr:#x}, expected {:#x}", access.address & mask),
-                    Err(e) => format!("decoder rejected a conforming word: {e}"),
-                };
-                return fail(
-                    kind,
-                    "round-trip",
-                    detail,
-                    &exploration,
-                    index,
-                    access,
-                    &encoder,
-                    &decoder,
-                );
-            }
-            if let Some((name, detail)) = invariant(prev_word, word, access, width) {
-                return fail(
-                    kind,
-                    name,
-                    detail,
-                    &exploration,
-                    index,
-                    access,
-                    &encoder,
-                    &decoder,
-                );
-            }
             let next: State<E, D> = (enc, dec, word);
-            if !seen.contains_key(&next) {
+            let fresh = !seen.contains_key(&next);
+            let step = Step {
+                pre,
+                access,
+                word,
+                enc: &next.0,
+                dec: &next.1,
+                fresh,
+                width,
+            };
+            let violation = match &decoded {
+                Ok(addr) if *addr == step.expected() => property(&step),
+                Ok(addr) => Some((
+                    "round-trip",
+                    format!("decoded {addr:#x}, expected {:#x}", step.expected()),
+                )),
+                Err(e) => Some((
+                    "round-trip",
+                    format!("decoder rejected a conforming word: {e}"),
+                )),
+            };
+            if let Some((invariant, detail)) = violation {
+                return fail(
+                    kind,
+                    invariant,
+                    detail,
+                    &exploration,
+                    index,
+                    access,
+                    &encoder,
+                    &decoder,
+                );
+            }
+            if fresh {
                 let id = exploration.states.len();
                 seen.insert(next.clone(), id);
                 exploration.states.push(next);
@@ -489,8 +508,18 @@ where
     }))
 }
 
-/// Breadth-first exhaustive exploration of a [`Hardened`] codec pair,
-/// checking the wrapper's fault-tolerance contract on every transition.
+/// Flips line `line` (payload lines first, then aux lines) of `word`.
+pub(crate) fn flip_line(mut word: BusState, line: u32, payload_bits: u32) -> BusState {
+    if line < payload_bits {
+        word.payload ^= 1 << line;
+    } else {
+        word.aux ^= 1 << (line - payload_bits);
+    }
+    word
+}
+
+/// Breadth-first exhaustive exploration of a [`Protected`] codec pair,
+/// checking the wrapper's fault contract on every transition.
 ///
 /// On top of the plain round-trip property this verifies, for every
 /// reachable product state and every input:
@@ -498,10 +527,18 @@ where
 /// - **schedule-sync**: both wrapper halves agree on whether the cycle is
 ///   a refresh cycle (the schedules are call-count driven, so this is the
 ///   lockstep the resync argument relies on);
-/// - **single-flip-detection**: flipping any *one* of the
-///   `W + aux` transmitted lines of the encoded word makes the decoder
-///   (in its exact pre-transition state) report an error instead of a
-///   silently wrong address;
+/// - the check kind's flip contract, probed against the decoder in its
+///   exact pre-transition state. Under [`Parity`],
+///   **single-flip-detection**: flipping any *one* of the `W + aux`
+///   transmitted lines makes the decoder report an error instead of a
+///   silently wrong address. Under [`SecDed`],
+///   **single-flip-correction**: any one flipped line still decodes —
+///   with no error — to the exact address and leaves the decoder in
+///   *exactly* the clean decode's post-cycle state (the fault costs
+///   nothing, not even a resync window); and **double-flip-detection**:
+///   flipping any *two* distinct lines is reported as an error, falling
+///   back to the bounded refresh-resync below, never to silent
+///   corruption;
 /// - **refresh-resync**: on every refresh cycle the word is
 ///   self-contained — a decoder restarted from its reset state decodes it
 ///   to the correct address *and* lands in exactly the product decoder's
@@ -512,27 +549,21 @@ where
 ///   the next refresh boundary, so resync takes at most `R` cycles.
 ///
 /// The code-specific transition-count invariants (T0 freeze, bus-invert
-/// bound) are deliberately *not* rechecked here: the parity line and the
+/// bound) are deliberately *not* rechecked here: the check lines and the
 /// refresh both add transitions by design — that cost is what
-/// `buscode-power`'s hardening accounting measures.
-fn explore_hardened<E, D>(
+/// `buscode-power`'s tier accounting measures.
+fn explore_protected<E, D, K>(
     kind: CodeKind,
-    params: CodeParams,
-    encoder: Hardened<E>,
-    decoder: Hardened<D>,
+    width: BusWidth,
+    encoder: Protected<E, K>,
+    decoder: Protected<D, K>,
     config: &CheckConfig,
 ) -> Verdict
 where
     E: Encoder + Clone + Eq + Hash,
     D: Decoder + Clone + Eq + Hash,
+    K: LineCheck,
 {
-    let width = params.width;
-    let mask = width.mask();
-    let total_lines = width.bits() + encoder.aux_line_count();
-    let alphabet: Vec<Access> = (0..=mask)
-        .flat_map(|a| [Access::instruction(a), Access::data(a)])
-        .collect();
-
     // Reset is the fixed point the refresh argument collapses to; reset
     // copies of both halves serve as the reference for reset-to-root.
     let (root_enc, root_dec) = {
@@ -541,343 +572,207 @@ where
         d.reset();
         (e, d)
     };
-
-    let root: State<Hardened<E>, Hardened<D>> =
-        (encoder.clone(), decoder.clone(), BusState::reset());
-    let mut exploration = Exploration {
-        states: vec![root.clone()],
-        parents: vec![(usize::MAX, Access::instruction(0))],
-        transitions: 0,
-    };
-    let mut seen: HashMap<State<Hardened<E>, Hardened<D>>, usize> = HashMap::new();
-    seen.insert(root, 0);
-    let mut frontier: VecDeque<usize> = VecDeque::from([0]);
-
-    while let Some(index) = frontier.pop_front() {
-        for &access in &alphabet {
-            if exploration.transitions >= config.max_transitions
-                || exploration.states.len() >= config.max_states
-            {
-                return Verdict::Bounded {
-                    states: exploration.states.len(),
-                    transitions: exploration.transitions,
-                };
-            }
-            exploration.transitions += 1;
-            let (mut enc, mut dec, _prev_word) = exploration.states[index].clone();
-            if enc.at_refresh_boundary() != dec.at_refresh_boundary() {
-                return fail(
-                    kind,
-                    "schedule-sync",
-                    "encoder and decoder disagree on the refresh boundary".to_string(),
-                    &exploration,
-                    index,
-                    access,
-                    &encoder,
-                    &decoder,
-                );
-            }
-            let refresh_cycle = enc.at_refresh_boundary();
-            let pre_dec = dec.clone();
-            let word = enc.encode(access);
-            let decoded = dec.decode(word, access.kind);
-            if !decoded.as_ref().is_ok_and(|&a| a == access.address & mask) {
-                let detail = match &decoded {
-                    Ok(addr) => format!("decoded {addr:#x}, expected {:#x}", access.address & mask),
-                    Err(e) => format!("decoder rejected a conforming word: {e}"),
-                };
-                return fail(
-                    kind,
-                    "round-trip",
-                    detail,
-                    &exploration,
-                    index,
-                    access,
-                    &encoder,
-                    &decoder,
-                );
-            }
-            for line in 0..total_lines {
-                let mut corrupted = word;
-                if line < width.bits() {
-                    corrupted.payload ^= 1 << line;
-                } else {
-                    corrupted.aux ^= 1 << (line - width.bits());
-                }
-                let mut probe = pre_dec.clone();
-                if probe.decode(corrupted, access.kind).is_ok() {
-                    return fail(
-                        kind,
-                        "single-flip-detection",
-                        format!("flip of line {line} decoded without an error"),
-                        &exploration,
-                        index,
-                        access,
-                        &encoder,
-                        &decoder,
-                    );
-                }
-            }
-            if refresh_cycle {
-                let mut fresh = root_dec.clone();
-                let fresh_decoded = fresh.decode(word, access.kind);
-                let resynced = fresh_decoded
-                    .as_ref()
-                    .is_ok_and(|&a| a == access.address & mask)
-                    && fresh == dec;
-                if !resynced {
-                    return fail(
-                        kind,
-                        "refresh-resync",
-                        "refresh-cycle word does not resynchronize a reset decoder".to_string(),
-                        &exploration,
-                        index,
-                        access,
-                        &encoder,
-                        &decoder,
-                    );
-                }
-            }
-            let next: State<Hardened<E>, Hardened<D>> = (enc, dec, word);
-            if !seen.contains_key(&next) {
-                let (mut e, mut d, _) = next.clone();
-                e.reset();
-                d.reset();
-                if e != root_enc || d != root_dec {
-                    return fail(
-                        kind,
-                        "reset-to-root",
-                        "reset from a reachable state does not restore the initial state"
-                            .to_string(),
-                        &exploration,
-                        index,
-                        access,
-                        &encoder,
-                        &decoder,
-                    );
-                }
-                let id = exploration.states.len();
-                seen.insert(next.clone(), id);
-                exploration.states.push(next);
-                exploration.parents.push((index, access));
-                frontier.push_back(id);
-            }
+    let lines = width.bits() + encoder.aux_line_count();
+    explore(kind, width, encoder, decoder, config, |step| {
+        let (pre_enc, pre_dec, _) = step.pre;
+        if pre_enc.at_refresh_boundary() != pre_dec.at_refresh_boundary() {
+            return Some((
+                "schedule-sync",
+                "encoder and decoder disagree on the refresh boundary".to_string(),
+            ));
         }
-    }
-    Verdict::Proven {
-        states: exploration.states.len(),
-        transitions: exploration.transitions,
-    }
-}
-
-/// Flips line `line` (payload lines first, then aux lines) of `word`.
-fn flip_line(mut word: BusState, line: u32, payload_bits: u32) -> BusState {
-    if line < payload_bits {
-        word.payload ^= 1 << line;
-    } else {
-        word.aux ^= 1 << (line - payload_bits);
-    }
-    word
-}
-
-/// Breadth-first exhaustive exploration of an [`EccHardened`] codec pair,
-/// checking the SEC-DED contract on every transition.
-///
-/// On top of the plain round-trip property this verifies, for every
-/// reachable product state and every input:
-///
-/// - **schedule-sync**: both wrapper halves agree on whether the cycle is
-///   a refresh cycle (as in `explore_hardened`);
-/// - **single-flip-correction**: flipping any *one* of the `W + aux`
-///   transmitted lines still decodes — with no error — to the exact
-///   address, and leaves the decoder in *exactly* the clean decode's
-///   post-cycle state. This is strictly stronger than the parity
-///   wrapper's detection property: the fault costs nothing, not even a
-///   resync window;
-/// - **double-flip-detection**: flipping any *two* distinct lines makes
-///   the decoder (in its exact pre-transition state) report an error
-///   instead of a silently wrong address — the fault falls back to the
-///   bounded refresh-resync below, never to silent corruption;
-/// - **refresh-resync** and **reset-to-root**: exactly as in
-///   `explore_hardened` — together they prove the post-refresh product
-///   state is independent of the pre-refresh state, so recovery from a
-///   detected double flip takes at most `R` cycles.
-fn explore_ecc<E, D>(
-    kind: CodeKind,
-    params: CodeParams,
-    encoder: EccHardened<E>,
-    decoder: EccHardened<D>,
-    config: &CheckConfig,
-) -> Verdict
-where
-    E: Encoder + Clone + Eq + Hash,
-    D: Decoder + Clone + Eq + Hash,
-{
-    let width = params.width;
-    let mask = width.mask();
-    let total_lines = width.bits() + encoder.aux_line_count();
-    let alphabet: Vec<Access> = (0..=mask)
-        .flat_map(|a| [Access::instruction(a), Access::data(a)])
-        .collect();
-
-    let (root_enc, root_dec) = {
-        let (mut e, mut d) = (encoder.clone(), decoder.clone());
-        e.reset();
-        d.reset();
-        (e, d)
-    };
-
-    let root: State<EccHardened<E>, EccHardened<D>> =
-        (encoder.clone(), decoder.clone(), BusState::reset());
-    let mut exploration = Exploration {
-        states: vec![root.clone()],
-        parents: vec![(usize::MAX, Access::instruction(0))],
-        transitions: 0,
-    };
-    let mut seen: HashMap<State<EccHardened<E>, EccHardened<D>>, usize> = HashMap::new();
-    seen.insert(root, 0);
-    let mut frontier: VecDeque<usize> = VecDeque::from([0]);
-
-    while let Some(index) = frontier.pop_front() {
-        for &access in &alphabet {
-            if exploration.transitions >= config.max_transitions
-                || exploration.states.len() >= config.max_states
-            {
-                return Verdict::Bounded {
-                    states: exploration.states.len(),
-                    transitions: exploration.transitions,
+        let probe = |word: BusState| {
+            let mut probe = pre_dec.clone();
+            let decoded = probe.decode(word, step.access.kind);
+            (decoded, probe)
+        };
+        let flipped = |line| flip_line(step.word, line, width.bits());
+        if K::TIER == Tier::Ecc {
+            for line in 0..lines {
+                let (decoded, probe) = probe(flipped(line));
+                let drifted = probe != *step.dec;
+                let detail = match decoded {
+                    Ok(addr) if drifted => {
+                        format!("flip of line {line} decoded {addr:#x} but the state drifted")
+                    }
+                    Ok(addr) if addr == step.expected() => continue,
+                    Ok(addr) => format!("flip of line {line} decoded {addr:#x}"),
+                    Err(e) => format!("flip of line {line} was not corrected: {e}"),
                 };
+                return Some(("single-flip-correction", detail));
             }
-            exploration.transitions += 1;
-            let (mut enc, mut dec, _prev_word) = exploration.states[index].clone();
-            if enc.at_refresh_boundary() != dec.at_refresh_boundary() {
-                return fail(
-                    kind,
-                    "schedule-sync",
-                    "encoder and decoder disagree on the refresh boundary".to_string(),
-                    &exploration,
-                    index,
-                    access,
-                    &encoder,
-                    &decoder,
-                );
-            }
-            let refresh_cycle = enc.at_refresh_boundary();
-            let pre_dec = dec.clone();
-            let word = enc.encode(access);
-            let decoded = dec.decode(word, access.kind);
-            if !decoded.as_ref().is_ok_and(|&a| a == access.address & mask) {
-                let detail = match &decoded {
-                    Ok(addr) => format!("decoded {addr:#x}, expected {:#x}", access.address & mask),
-                    Err(e) => format!("decoder rejected a conforming word: {e}"),
-                };
-                return fail(
-                    kind,
-                    "round-trip",
-                    detail,
-                    &exploration,
-                    index,
-                    access,
-                    &encoder,
-                    &decoder,
-                );
-            }
-            for line in 0..total_lines {
-                let corrupted = flip_line(word, line, width.bits());
-                let mut probe = pre_dec.clone();
-                let corrected = probe.decode(corrupted, access.kind);
-                let exact = corrected
-                    .as_ref()
-                    .is_ok_and(|&a| a == access.address & mask)
-                    && probe == dec;
-                if !exact {
-                    let detail = match &corrected {
-                        Ok(addr) if probe != dec => {
-                            format!("flip of line {line} decoded {addr:#x} but the state drifted")
-                        }
-                        Ok(addr) => format!("flip of line {line} decoded {addr:#x}"),
-                        Err(e) => format!("flip of line {line} was not corrected: {e}"),
-                    };
-                    return fail(
-                        kind,
-                        "single-flip-correction",
-                        detail,
-                        &exploration,
-                        index,
-                        access,
-                        &encoder,
-                        &decoder,
-                    );
-                }
-            }
-            for a in 0..total_lines {
-                for b in (a + 1)..total_lines {
-                    let corrupted = flip_line(flip_line(word, a, width.bits()), b, width.bits());
-                    let mut probe = pre_dec.clone();
-                    if probe.decode(corrupted, access.kind).is_ok() {
-                        return fail(
-                            kind,
+            for a in 0..lines {
+                for b in (a + 1)..lines {
+                    let doubled = flip_line(flipped(a), b, width.bits());
+                    if probe(doubled).0.is_ok() {
+                        return Some((
                             "double-flip-detection",
                             format!("flips of lines {a} and {b} decoded without an error"),
-                            &exploration,
-                            index,
-                            access,
-                            &encoder,
-                            &decoder,
-                        );
+                        ));
                     }
                 }
             }
-            if refresh_cycle {
-                let mut fresh = root_dec.clone();
-                let fresh_decoded = fresh.decode(word, access.kind);
-                let resynced = fresh_decoded
-                    .as_ref()
-                    .is_ok_and(|&a| a == access.address & mask)
-                    && fresh == dec;
-                if !resynced {
-                    return fail(
-                        kind,
-                        "refresh-resync",
-                        "refresh-cycle word does not resynchronize a reset decoder".to_string(),
-                        &exploration,
-                        index,
-                        access,
-                        &encoder,
-                        &decoder,
-                    );
-                }
-            }
-            let next: State<EccHardened<E>, EccHardened<D>> = (enc, dec, word);
-            if !seen.contains_key(&next) {
-                let (mut e, mut d, _) = next.clone();
-                e.reset();
-                d.reset();
-                if e != root_enc || d != root_dec {
-                    return fail(
-                        kind,
-                        "reset-to-root",
-                        "reset from a reachable state does not restore the initial state"
-                            .to_string(),
-                        &exploration,
-                        index,
-                        access,
-                        &encoder,
-                        &decoder,
-                    );
-                }
-                let id = exploration.states.len();
-                seen.insert(next.clone(), id);
-                exploration.states.push(next);
-                exploration.parents.push((index, access));
-                frontier.push_back(id);
+        } else if let Some(line) = (0..lines).find(|&line| probe(flipped(line)).0.is_ok()) {
+            return Some((
+                "single-flip-detection",
+                format!("flip of line {line} decoded without an error"),
+            ));
+        }
+        if pre_enc.at_refresh_boundary() {
+            let mut fresh = root_dec.clone();
+            let resynced = fresh
+                .decode(step.word, step.access.kind)
+                .is_ok_and(|a| a == step.expected())
+                && fresh == *step.dec;
+            if !resynced {
+                return Some((
+                    "refresh-resync",
+                    "refresh-cycle word does not resynchronize a reset decoder".to_string(),
+                ));
             }
         }
+        if step.fresh {
+            let (mut e, mut d) = (step.enc.clone(), step.dec.clone());
+            e.reset();
+            d.reset();
+            if e != root_enc || d != root_dec {
+                return Some((
+                    "reset-to-root",
+                    "reset from a reachable state does not restore the initial state".to_string(),
+                ));
+            }
+        }
+        None
+    })
+}
+
+/// Something to do with one code's concrete (unboxed) encoder/decoder
+/// pair: the model checker hashes and compares codec states, which the
+/// boxed factories cannot offer.
+trait PairVisitor {
+    type Output;
+
+    fn visit<E, D>(self, encoder: E, decoder: D) -> Self::Output
+    where
+        E: Encoder + Clone + Eq + Hash,
+        D: Decoder + Clone + Eq + Hash;
+}
+
+/// Builds `kind`'s concrete pair — the codecs of
+/// [`CodeKind::snapshot_encoder`] / [`CodeKind::snapshot_decoder`] — and
+/// hands it to `v`.
+///
+/// # Errors
+///
+/// Propagates constructor errors.
+fn visit_pair<V: PairVisitor>(
+    kind: CodeKind,
+    params: CodeParams,
+    v: V,
+) -> Result<V::Output, CodecError> {
+    let (w, s) = (params.width, params.stride);
+    Ok(match kind {
+        CodeKind::Binary => v.visit(BinaryEncoder::new(w), BinaryDecoder::new(w)),
+        CodeKind::Gray => v.visit(GrayEncoder::new(w, s)?, GrayDecoder::new(w, s)?),
+        CodeKind::BusInvert => v.visit(BusInvertEncoder::new(w), BusInvertDecoder::new(w)),
+        CodeKind::T0 => v.visit(T0Encoder::new(w, s)?, T0Decoder::new(w, s)?),
+        CodeKind::T0Bi => v.visit(T0BiEncoder::new(w, s)?, T0BiDecoder::new(w, s)?),
+        CodeKind::DualT0 => v.visit(DualT0Encoder::new(w, s)?, DualT0Decoder::new(w, s)?),
+        CodeKind::DualT0Bi => v.visit(DualT0BiEncoder::new(w, s)?, DualT0BiDecoder::new(w, s)?),
+        CodeKind::T0Xor => v.visit(T0XorEncoder::new(w, s)?, T0XorDecoder::new(w, s)?),
+        CodeKind::Offset => v.visit(OffsetEncoder::new(w), OffsetDecoder::new(w)),
+        CodeKind::WorkingZone => v.visit(
+            WorkingZoneEncoder::new(w, s, 4)?,
+            WorkingZoneDecoder::new(w, s, 4)?,
+        ),
+        CodeKind::Beach => v.visit(
+            BeachCode::identity(w).into_encoder(),
+            BeachCode::identity(w).into_decoder(),
+        ),
+        CodeKind::SelfOrganizing => {
+            let (low_bits, entries) = self_org_geometry(w);
+            v.visit(
+                SelfOrganizingEncoder::new(w, low_bits, entries)?,
+                SelfOrganizingDecoder::new(w, low_bits, entries)?,
+            )
+        }
+    })
+}
+
+/// Explores a bare pair against its code's invariants.
+struct Bare<'a> {
+    kind: CodeKind,
+    width: BusWidth,
+    config: &'a CheckConfig,
+}
+
+impl PairVisitor for Bare<'_> {
+    type Output = Verdict;
+
+    fn visit<E, D>(self, encoder: E, decoder: D) -> Verdict
+    where
+        E: Encoder + Clone + Eq + Hash,
+        D: Decoder + Clone + Eq + Hash,
+    {
+        let (width, invariant) = (self.width, invariant_of(self.kind));
+        explore(self.kind, width, encoder, decoder, self.config, |step| {
+            invariant(step.pre.2, step.word, step.access, width)
+        })
     }
-    Verdict::Proven {
-        states: exploration.states.len(),
-        transitions: exploration.transitions,
+}
+
+/// Wraps a pair in [`Protected`] of kind `K` and explores its fault
+/// contract.
+struct Wrapped<'a, K> {
+    kind: CodeKind,
+    width: BusWidth,
+    refresh: u64,
+    config: &'a CheckConfig,
+    check: PhantomData<K>,
+}
+
+impl<K: LineCheck> PairVisitor for Wrapped<'_, K> {
+    type Output = Result<Verdict, CodecError>;
+
+    fn visit<E, D>(self, encoder: E, decoder: D) -> Self::Output
+    where
+        E: Encoder + Clone + Eq + Hash,
+        D: Decoder + Clone + Eq + Hash,
+    {
+        // The decoder half reads the redundant line count off the encoder.
+        let inner_aux = encoder.aux_line_count();
+        Ok(explore_protected(
+            self.kind,
+            self.width,
+            Protected::<E, K>::encoder(encoder, self.refresh)?,
+            Protected::<D, K>::with_aux_lines(decoder, self.refresh, inner_aux)?,
+            self.config,
+        ))
     }
+}
+
+/// Runs `check` on every [`CodeKind`], stopping at the first error.
+fn every_code(
+    check: impl Fn(CodeKind) -> Result<Verdict, CodecError>,
+) -> Result<Vec<(CodeKind, Verdict)>, CodecError> {
+    CodeKind::all()
+        .into_iter()
+        .map(|kind| Ok((kind, check(kind)?)))
+        .collect()
+}
+
+/// Rejects buses too wide to explore exhaustively.
+fn check_width(params: CodeParams) -> Result<(), CodecError> {
+    if params.width.bits() > 16 {
+        return Err(CodecError::InvalidParameter {
+            name: "width",
+            reason: format!(
+                "exhaustive checking requires width <= 16 bits, got {}",
+                params.width.bits()
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Model-checks one code at the given parameters.
@@ -899,120 +794,17 @@ pub fn check_code(
     params: CodeParams,
     config: &CheckConfig,
 ) -> Result<Verdict, CodecError> {
-    if params.width.bits() > 16 {
-        return Err(CodecError::InvalidParameter {
-            name: "width",
-            reason: format!(
-                "exhaustive checking requires width <= 16 bits, got {}",
-                params.width.bits()
-            ),
-        });
-    }
-    let w = params.width;
-    let s = params.stride;
-    Ok(match kind {
-        CodeKind::Binary => explore(
+    check_width(params)?;
+    let width = params.width;
+    visit_pair(
+        kind,
+        params,
+        Bare {
             kind,
-            params,
-            BinaryEncoder::new(w),
-            BinaryDecoder::new(w),
-            no_invariant,
+            width,
             config,
-        ),
-        CodeKind::Gray => explore(
-            kind,
-            params,
-            GrayEncoder::new(w, s)?,
-            GrayDecoder::new(w, s)?,
-            no_invariant,
-            config,
-        ),
-        CodeKind::BusInvert => explore(
-            kind,
-            params,
-            BusInvertEncoder::new(w),
-            BusInvertDecoder::new(w),
-            bus_invert_bound,
-            config,
-        ),
-        CodeKind::T0 => explore(
-            kind,
-            params,
-            T0Encoder::new(w, s)?,
-            T0Decoder::new(w, s)?,
-            t0_freeze,
-            config,
-        ),
-        CodeKind::T0Bi => explore(
-            kind,
-            params,
-            T0BiEncoder::new(w, s)?,
-            T0BiDecoder::new(w, s)?,
-            t0_bi_invariant,
-            config,
-        ),
-        CodeKind::DualT0 => explore(
-            kind,
-            params,
-            DualT0Encoder::new(w, s)?,
-            DualT0Decoder::new(w, s)?,
-            dual_t0_freeze,
-            config,
-        ),
-        CodeKind::DualT0Bi => explore(
-            kind,
-            params,
-            DualT0BiEncoder::new(w, s)?,
-            DualT0BiDecoder::new(w, s)?,
-            dual_t0_bi_invariant,
-            config,
-        ),
-        CodeKind::T0Xor => explore(
-            kind,
-            params,
-            T0XorEncoder::new(w, s)?,
-            T0XorDecoder::new(w, s)?,
-            no_invariant,
-            config,
-        ),
-        CodeKind::Offset => explore(
-            kind,
-            params,
-            OffsetEncoder::new(w),
-            OffsetDecoder::new(w),
-            no_invariant,
-            config,
-        ),
-        CodeKind::WorkingZone => explore(
-            kind,
-            params,
-            WorkingZoneEncoder::new(w, s, 4)?,
-            WorkingZoneDecoder::new(w, s, 4)?,
-            no_invariant,
-            config,
-        ),
-        CodeKind::Beach => explore(
-            kind,
-            params,
-            BeachCode::identity(w).into_encoder(),
-            BeachCode::identity(w).into_decoder(),
-            no_invariant,
-            config,
-        ),
-        CodeKind::SelfOrganizing => {
-            // Mirror the CodeKind factory's geometry scaling.
-            let low_bits = 8.min(w.bits() - 1);
-            let entries = 16.min(w.bits() - low_bits);
-            explore(
-                kind,
-                params,
-                SelfOrganizingEncoder::new(w, low_bits, entries)?,
-                SelfOrganizingDecoder::new(w, low_bits, entries)?,
-                no_invariant,
-                config,
-            )
-        }
-    })
+        },
+    )
 }
 
 /// Model-checks every [`CodeKind`] at the given parameters.
@@ -1024,26 +816,41 @@ pub fn check_all(
     params: CodeParams,
     config: &CheckConfig,
 ) -> Result<Vec<(CodeKind, Verdict)>, CodecError> {
-    CodeKind::all()
-        .into_iter()
-        .map(|kind| Ok((kind, check_code(kind, params, config)?)))
-        .collect()
+    every_code(|kind| check_code(kind, params, config))
 }
 
-/// Model-checks one code wrapped in [`Hardened`] with the given refresh
-/// interval.
+/// Model-checks one code wrapped in [`Protected`] of kind `K`.
+fn check_protected<K: LineCheck>(
+    kind: CodeKind,
+    params: CodeParams,
+    refresh: u64,
+    config: &CheckConfig,
+) -> Result<Verdict, CodecError> {
+    check_width(params)?;
+    let wrapped = Wrapped::<K> {
+        kind,
+        width: params.width,
+        refresh,
+        config,
+        check: PhantomData,
+    };
+    visit_pair(kind, params, wrapped)?
+}
+
+/// Model-checks one code wrapped in [`Hardened`][crate::codes::Hardened]
+/// (parity) with the given refresh interval.
 ///
 /// Beyond the round-trip property this verifies the wrapper's
 /// fault-tolerance contract exhaustively (within budget): every single
 /// line flip is detected, and every refresh cycle collapses the decoder
 /// to a state reachable from reset — the bounded-resync guarantee (see
-/// `explore_hardened`'s soundness argument in the source). Failures
+/// `explore_protected`'s soundness argument in the source). Failures
 /// carry a replayable [`Counterexample`] like [`check_code`].
 ///
 /// # Errors
 ///
 /// Same width limit as [`check_code`] (≤ 16 bits, with the offending
-/// width reported), plus the [`Hardened`] constructor errors
+/// width reported), plus the wrapper's constructor errors
 /// (`refresh == 0`).
 pub fn check_hardened(
     kind: CodeKind,
@@ -1051,146 +858,11 @@ pub fn check_hardened(
     refresh: u64,
     config: &CheckConfig,
 ) -> Result<Verdict, CodecError> {
-    if params.width.bits() > 16 {
-        return Err(CodecError::InvalidParameter {
-            name: "width",
-            reason: format!(
-                "exhaustive checking requires width <= 16 bits, got {}",
-                params.width.bits()
-            ),
-        });
-    }
-    let w = params.width;
-    let s = params.stride;
-    /// Wraps a concrete pair, reading the redundant line count off the
-    /// encoder so the decoder half matches.
-    fn wrap<E, D>(
-        kind: CodeKind,
-        params: CodeParams,
-        refresh: u64,
-        enc: E,
-        dec: D,
-        config: &CheckConfig,
-    ) -> Result<Verdict, CodecError>
-    where
-        E: Encoder + Clone + Eq + Hash,
-        D: Decoder + Clone + Eq + Hash,
-    {
-        let inner_aux = enc.aux_line_count();
-        Ok(explore_hardened(
-            kind,
-            params,
-            Hardened::encoder(enc, refresh)?,
-            Hardened::with_aux_lines(dec, refresh, inner_aux)?,
-            config,
-        ))
-    }
-    match kind {
-        CodeKind::Binary => wrap(
-            kind,
-            params,
-            refresh,
-            BinaryEncoder::new(w),
-            BinaryDecoder::new(w),
-            config,
-        ),
-        CodeKind::Gray => wrap(
-            kind,
-            params,
-            refresh,
-            GrayEncoder::new(w, s)?,
-            GrayDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::BusInvert => wrap(
-            kind,
-            params,
-            refresh,
-            BusInvertEncoder::new(w),
-            BusInvertDecoder::new(w),
-            config,
-        ),
-        CodeKind::T0 => wrap(
-            kind,
-            params,
-            refresh,
-            T0Encoder::new(w, s)?,
-            T0Decoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::T0Bi => wrap(
-            kind,
-            params,
-            refresh,
-            T0BiEncoder::new(w, s)?,
-            T0BiDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::DualT0 => wrap(
-            kind,
-            params,
-            refresh,
-            DualT0Encoder::new(w, s)?,
-            DualT0Decoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::DualT0Bi => wrap(
-            kind,
-            params,
-            refresh,
-            DualT0BiEncoder::new(w, s)?,
-            DualT0BiDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::T0Xor => wrap(
-            kind,
-            params,
-            refresh,
-            T0XorEncoder::new(w, s)?,
-            T0XorDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::Offset => wrap(
-            kind,
-            params,
-            refresh,
-            OffsetEncoder::new(w),
-            OffsetDecoder::new(w),
-            config,
-        ),
-        CodeKind::WorkingZone => wrap(
-            kind,
-            params,
-            refresh,
-            WorkingZoneEncoder::new(w, s, 4)?,
-            WorkingZoneDecoder::new(w, s, 4)?,
-            config,
-        ),
-        CodeKind::Beach => wrap(
-            kind,
-            params,
-            refresh,
-            BeachCode::identity(w).into_encoder(),
-            BeachCode::identity(w).into_decoder(),
-            config,
-        ),
-        CodeKind::SelfOrganizing => {
-            let low_bits = 8.min(w.bits() - 1);
-            let entries = 16.min(w.bits() - low_bits);
-            wrap(
-                kind,
-                params,
-                refresh,
-                SelfOrganizingEncoder::new(w, low_bits, entries)?,
-                SelfOrganizingDecoder::new(w, low_bits, entries)?,
-                config,
-            )
-        }
-    }
+    check_protected::<Parity>(kind, params, refresh, config)
 }
 
-/// Model-checks every [`CodeKind`] under [`Hardened`] at the given
-/// refresh interval.
+/// Model-checks every [`CodeKind`] under
+/// [`Hardened`][crate::codes::Hardened] at the given refresh interval.
 ///
 /// # Errors
 ///
@@ -1200,22 +872,20 @@ pub fn check_hardened_all(
     refresh: u64,
     config: &CheckConfig,
 ) -> Result<Vec<(CodeKind, Verdict)>, CodecError> {
-    CodeKind::all()
-        .into_iter()
-        .map(|kind| Ok((kind, check_hardened(kind, params, refresh, config)?)))
-        .collect()
+    every_code(|kind| check_hardened(kind, params, refresh, config))
 }
 
 /// Model-checks one code wrapped in
-/// [`EccHardened`] with the given refresh
-/// interval.
+/// [`EccHardened`][crate::codes::EccHardened] (SEC-DED) with the given
+/// refresh interval.
 ///
 /// Beyond the round-trip property this verifies the SEC-DED contract
 /// exhaustively (within budget): every single line flip is *corrected*
 /// in-flight — exact address, exact post-cycle decoder state, no resync —
 /// and every double line flip is *detected*, falling back to the bounded
-/// refresh-resync (see `explore_ecc`'s soundness argument in the source).
-/// Failures carry a replayable [`Counterexample`] like [`check_code`].
+/// refresh-resync (see `explore_protected`'s soundness argument in the
+/// source). Failures carry a replayable [`Counterexample`] like
+/// [`check_code`].
 ///
 /// Note the per-transition cost is quadratic in the line count (every
 /// pair of flips is probed); prefer tighter budgets than
@@ -1224,7 +894,7 @@ pub fn check_hardened_all(
 /// # Errors
 ///
 /// Same width limit as [`check_code`] (≤ 16 bits, with the offending
-/// width reported), plus the [`EccHardened`] constructor errors
+/// width reported), plus the wrapper's constructor errors
 /// (`refresh == 0`).
 pub fn check_ecc(
     kind: CodeKind,
@@ -1232,146 +902,11 @@ pub fn check_ecc(
     refresh: u64,
     config: &CheckConfig,
 ) -> Result<Verdict, CodecError> {
-    if params.width.bits() > 16 {
-        return Err(CodecError::InvalidParameter {
-            name: "width",
-            reason: format!(
-                "exhaustive checking requires width <= 16 bits, got {}",
-                params.width.bits()
-            ),
-        });
-    }
-    let w = params.width;
-    let s = params.stride;
-    /// Wraps a concrete pair, reading the redundant line count off the
-    /// encoder so the decoder half matches.
-    fn wrap<E, D>(
-        kind: CodeKind,
-        params: CodeParams,
-        refresh: u64,
-        enc: E,
-        dec: D,
-        config: &CheckConfig,
-    ) -> Result<Verdict, CodecError>
-    where
-        E: Encoder + Clone + Eq + Hash,
-        D: Decoder + Clone + Eq + Hash,
-    {
-        let inner_aux = enc.aux_line_count();
-        Ok(explore_ecc(
-            kind,
-            params,
-            EccHardened::encoder(enc, refresh)?,
-            EccHardened::with_aux_lines(dec, refresh, inner_aux)?,
-            config,
-        ))
-    }
-    match kind {
-        CodeKind::Binary => wrap(
-            kind,
-            params,
-            refresh,
-            BinaryEncoder::new(w),
-            BinaryDecoder::new(w),
-            config,
-        ),
-        CodeKind::Gray => wrap(
-            kind,
-            params,
-            refresh,
-            GrayEncoder::new(w, s)?,
-            GrayDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::BusInvert => wrap(
-            kind,
-            params,
-            refresh,
-            BusInvertEncoder::new(w),
-            BusInvertDecoder::new(w),
-            config,
-        ),
-        CodeKind::T0 => wrap(
-            kind,
-            params,
-            refresh,
-            T0Encoder::new(w, s)?,
-            T0Decoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::T0Bi => wrap(
-            kind,
-            params,
-            refresh,
-            T0BiEncoder::new(w, s)?,
-            T0BiDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::DualT0 => wrap(
-            kind,
-            params,
-            refresh,
-            DualT0Encoder::new(w, s)?,
-            DualT0Decoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::DualT0Bi => wrap(
-            kind,
-            params,
-            refresh,
-            DualT0BiEncoder::new(w, s)?,
-            DualT0BiDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::T0Xor => wrap(
-            kind,
-            params,
-            refresh,
-            T0XorEncoder::new(w, s)?,
-            T0XorDecoder::new(w, s)?,
-            config,
-        ),
-        CodeKind::Offset => wrap(
-            kind,
-            params,
-            refresh,
-            OffsetEncoder::new(w),
-            OffsetDecoder::new(w),
-            config,
-        ),
-        CodeKind::WorkingZone => wrap(
-            kind,
-            params,
-            refresh,
-            WorkingZoneEncoder::new(w, s, 4)?,
-            WorkingZoneDecoder::new(w, s, 4)?,
-            config,
-        ),
-        CodeKind::Beach => wrap(
-            kind,
-            params,
-            refresh,
-            BeachCode::identity(w).into_encoder(),
-            BeachCode::identity(w).into_decoder(),
-            config,
-        ),
-        CodeKind::SelfOrganizing => {
-            let low_bits = 8.min(w.bits() - 1);
-            let entries = 16.min(w.bits() - low_bits);
-            wrap(
-                kind,
-                params,
-                refresh,
-                SelfOrganizingEncoder::new(w, low_bits, entries)?,
-                SelfOrganizingDecoder::new(w, low_bits, entries)?,
-                config,
-            )
-        }
-    }
+    check_protected::<SecDed>(kind, params, refresh, config)
 }
 
 /// Model-checks every [`CodeKind`] under
-/// [`EccHardened`] at the given refresh
+/// [`EccHardened`][crate::codes::EccHardened] at the given refresh
 /// interval.
 ///
 /// # Errors
@@ -1382,15 +917,14 @@ pub fn check_ecc_all(
     refresh: u64,
     config: &CheckConfig,
 ) -> Result<Vec<(CodeKind, Verdict)>, CodecError> {
-    CodeKind::all()
-        .into_iter()
-        .map(|kind| Ok((kind, check_ecc(kind, params, refresh, config)?)))
-        .collect()
+    every_code(|kind| check_ecc(kind, params, refresh, config))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codes::protected::sealed::Sealed;
+    use crate::codes::Verified;
 
     fn params(bits: u32) -> CodeParams {
         CodeParams::new(bits, 4.min(1 << (bits - 1))).unwrap()
@@ -1481,14 +1015,14 @@ mod tests {
         let p = CodeParams::new(3, 1).unwrap();
         let verdict = explore(
             CodeKind::Binary,
-            p,
+            p.width,
             LyingEncoder {
                 width: p.width,
                 count: 0,
             },
             BinaryDecoder::new(p.width),
-            no_invariant,
             &CheckConfig::default(),
+            |_| None,
         );
         let ce = verdict.counterexample().expect("must fail");
         assert_eq!(ce.invariant, "round-trip");
@@ -1505,104 +1039,178 @@ mod tests {
     }
 
     #[test]
-    fn every_hardened_code_proven_at_width_3() {
+    fn every_protected_code_proven_at_width_3() {
         let p = CodeParams::new(3, 2).unwrap();
-        for (kind, verdict) in check_hardened_all(p, 2, &CheckConfig::default()).unwrap() {
+        let config = CheckConfig::default();
+        let hardened = check_hardened_all(p, 2, &config).unwrap();
+        for (kind, verdict) in hardened
+            .iter()
+            .chain(&check_ecc_all(p, 2, &config).unwrap())
+        {
             assert!(verdict.holds(), "{kind}: {verdict}");
             assert!(verdict.is_proven(), "{kind}: {verdict}");
         }
     }
 
     #[test]
-    fn hardened_refresh_zero_is_rejected() {
-        let err = check_hardened(CodeKind::T0, params(4), 0, &CheckConfig::default()).unwrap_err();
-        assert!(matches!(
-            err,
-            CodecError::InvalidParameter {
-                name: "refresh",
-                ..
-            }
-        ));
+    fn protected_refresh_zero_and_wide_buses_are_rejected() {
+        let config = CheckConfig::default();
+        let wide = CodeParams::new(32, 4).unwrap();
+        for check in [check_hardened, check_ecc] {
+            let err = check(CodeKind::T0, params(4), 0, &config).unwrap_err();
+            assert!(matches!(
+                err,
+                CodecError::InvalidParameter {
+                    name: "refresh",
+                    ..
+                }
+            ));
+            let err = check(CodeKind::Binary, wide, 2, &config).unwrap_err();
+            assert!(matches!(
+                err,
+                CodecError::InvalidParameter { name: "width", .. }
+            ));
+        }
     }
 
-    #[test]
-    fn hardened_detects_a_parityless_wrapper() {
-        // A wrapper whose encoder half drops the parity line must be
-        // caught by single-flip-detection: an undetected flip is exactly
-        // the silent corruption the wrapper exists to prevent. We emulate
-        // it by pairing mismatched refresh intervals instead — encoder
-        // refreshing at 2 and decoder at 3 desynchronizes the schedules,
-        // which the explorer pins as a failure with a replayable trace.
+    /// Explores T0 at width 3 with halves built apart, and returns the
+    /// refuted property after checking the trace replays.
+    fn refute_pair<K: LineCheck>(
+        enc_refresh: u64,
+        dec_refresh: u64,
+        dec_inner_aux: u32,
+    ) -> &'static str {
         let p = CodeParams::new(3, 1).unwrap();
-        let w = p.width;
-        let verdict = explore_hardened(
+        let (w, s) = (p.width, p.stride);
+        let verdict = explore_protected(
             CodeKind::T0,
-            p,
-            Hardened::encoder(T0Encoder::new(w, p.stride).unwrap(), 2).unwrap(),
-            Hardened::with_aux_lines(T0Decoder::new(w, p.stride).unwrap(), 3, 1).unwrap(),
+            w,
+            Protected::<_, K>::encoder(T0Encoder::new(w, s).unwrap(), enc_refresh).unwrap(),
+            Protected::<_, K>::with_aux_lines(
+                T0Decoder::new(w, s).unwrap(),
+                dec_refresh,
+                dec_inner_aux,
+            )
+            .unwrap(),
             &CheckConfig::default(),
         );
         let ce = verdict
             .counterexample()
-            .expect("mismatched refresh must fail");
+            .expect("mismatched halves must fail");
+        assert!(!ce.trace.is_empty());
+        ce.invariant
+    }
+
+    #[test]
+    fn mismatched_halves_are_refuted() {
+        // Refreshing at 2 and 3 desynchronizes the schedules.
+        let invariant = refute_pair::<Parity>(2, 3, 1);
         assert!(
-            ce.invariant == "schedule-sync" || ce.invariant == "round-trip",
-            "unexpected invariant {}",
-            ce.invariant
+            invariant == "schedule-sync" || invariant == "round-trip",
+            "unexpected invariant {invariant}"
         );
-        assert!(!ce.trace.is_empty());
+        // A decoder built with the wrong inner-aux count reads the check
+        // lines at the wrong offsets.
+        refute_pair::<SecDed>(2, 2, 0);
     }
 
-    #[test]
-    fn every_ecc_code_proven_at_width_3() {
-        let p = CodeParams::new(3, 2).unwrap();
-        for (kind, verdict) in check_ecc_all(p, 2, &CheckConfig::default()).unwrap() {
-            assert!(verdict.holds(), "{kind}: {verdict}");
-            assert!(verdict.is_proven(), "{kind}: {verdict}");
+    /// A check kind with one deliberate defect: [`BLIND_PARITY`] is a
+    /// parity over the payload alone, blind to the inner lines;
+    /// [`DETECT_ONLY`] is a SEC-DED that reports every fault instead of
+    /// correcting it; [`NO_OVERALL_PARITY`] is a SEC-DED without its
+    /// overall-parity line, so it must read every nonzero syndrome as one
+    /// correctable flip.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct Defective<const D: u8>(SecDed);
+
+    const BLIND_PARITY: u8 = 0;
+    const DETECT_ONLY: u8 = 1;
+    const NO_OVERALL_PARITY: u8 = 2;
+
+    impl<const D: u8> Sealed for Defective<D> {}
+
+    impl<const D: u8> LineCheck for Defective<D> {
+        const NAME: &'static str = "defective";
+        const FAULT_CODE: &'static str = "defective";
+        const TIER: Tier = if D == BLIND_PARITY {
+            Tier::Parity
+        } else {
+            Tier::Ecc
+        };
+
+        fn new(payload_bits: u32, inner_aux: u32) -> Self {
+            Defective(SecDed::new(payload_bits, inner_aux))
+        }
+
+        fn lines(&self) -> u32 {
+            match D {
+                BLIND_PARITY => 1,
+                NO_OVERALL_PARITY => self.0.lines() - 1,
+                _ => self.0.lines(),
+            }
+        }
+
+        fn check(&self, payload: u64, inner: u64) -> u64 {
+            match D {
+                BLIND_PARITY => Parity.check(payload, 0),
+                _ => self.0.check(payload, inner) & ((1 << self.lines()) - 1),
+            }
+        }
+
+        fn verify(&self, payload: u64, inner: u64, lines: u64) -> Verified {
+            match D {
+                BLIND_PARITY => Parity.verify(payload, 0, lines),
+                DETECT_ONLY => match self.0.verify(payload, inner, lines)? {
+                    None => Ok(None),
+                    Some(_) => Err("correctable error reported"),
+                },
+                _ => {
+                    // Forge the missing line as the one that makes the
+                    // overall parity odd exactly when the syndrome is
+                    // nonzero.
+                    let (r, mask) = (self.lines(), (1 << self.lines()) - 1);
+                    let clean = self.0.check(payload, inner);
+                    let syndrome = (clean ^ lines) & mask;
+                    let overall = (clean >> r)
+                        ^ u64::from(syndrome.count_ones() & 1)
+                        ^ u64::from(syndrome != 0);
+                    self.0
+                        .verify(payload, inner, (lines & mask) | (overall << r))
+                }
+            }
+        }
+    }
+
+    /// Runs T0 at width 3 under defect `D` and requires a refutation of
+    /// `property` whose replayed trace round-trips every step.
+    fn refuted_under<const D: u8>(property: &str) {
+        let p = CodeParams::new(3, 1).unwrap();
+        let config = CheckConfig::default();
+        let verdict = check_protected::<Defective<D>>(CodeKind::T0, p, 2, &config).unwrap();
+        let ce = verdict
+            .counterexample()
+            .unwrap_or_else(|| panic!("defect {D} must be refuted, got {verdict}"));
+        assert_eq!(ce.invariant, property, "defect {D}: {ce}");
+        assert!(!ce.trace.is_empty());
+        for step in &ce.trace {
+            let expected = Ok(step.access.address & p.width.mask());
+            assert_eq!(step.decoded, expected, "defect {D}: {ce}");
         }
     }
 
     #[test]
-    fn ecc_refresh_zero_and_wide_buses_are_rejected() {
-        let err = check_ecc(CodeKind::T0, params(4), 0, &CheckConfig::default()).unwrap_err();
-        assert!(matches!(
-            err,
-            CodecError::InvalidParameter {
-                name: "refresh",
-                ..
-            }
-        ));
-        let err = check_ecc(
-            CodeKind::Binary,
-            CodeParams::new(32, 4).unwrap(),
-            2,
-            &CheckConfig::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            CodecError::InvalidParameter { name: "width", .. }
-        ));
+    fn parity_blind_to_inner_lines_fails_single_flip_detection() {
+        refuted_under::<BLIND_PARITY>("single-flip-detection");
     }
 
     #[test]
-    fn ecc_catches_a_decoder_with_the_wrong_geometry() {
-        // A decoder built with the wrong inner-aux count reads the check
-        // lines at the wrong offsets; the explorer must refute it rather
-        // than prove it.
-        let p = CodeParams::new(3, 1).unwrap();
-        let w = p.width;
-        let verdict = explore_ecc(
-            CodeKind::T0,
-            p,
-            EccHardened::encoder(T0Encoder::new(w, p.stride).unwrap(), 2).unwrap(),
-            EccHardened::with_aux_lines(T0Decoder::new(w, p.stride).unwrap(), 2, 0).unwrap(),
-            &CheckConfig::default(),
-        );
-        let ce = verdict
-            .counterexample()
-            .expect("mismatched geometry must fail");
-        assert!(!ce.trace.is_empty());
+    fn detect_only_secded_fails_single_flip_correction() {
+        refuted_under::<DETECT_ONLY>("single-flip-correction");
+    }
+
+    #[test]
+    fn secded_without_overall_parity_fails_double_flip_detection() {
+        refuted_under::<NO_OVERALL_PARITY>("double-flip-detection");
     }
 
     #[test]

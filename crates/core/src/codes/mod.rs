@@ -16,21 +16,20 @@
 //! [`t0_xor`], [`offset`], [`working_zone`], [`beach`], and
 //! [`self_organizing`].
 //!
-//! The [`hardened`] module wraps any of the above with aux-line parity
-//! and a periodic plain-word refresh, bounding the damage a transient
-//! bus fault can do to the stateful codes; [`ecc_hardened`] upgrades the
-//! same machinery to SEC-DED Hamming, correcting single line flips
-//! in-flight instead of paying a resync window.
+//! The [`protected`] module wraps any of the above with check lines and
+//! a periodic plain-word refresh, bounding the damage a transient bus
+//! fault can do to the stateful codes: one parity line detects a single
+//! flip ([`Hardened`]), SEC-DED Hamming lines correct it in-flight
+//! instead of paying a resync window ([`EccHardened`]).
 
 pub mod beach;
 pub mod binary;
 pub mod bus_invert;
 pub mod dual_t0;
 pub mod dual_t0_bi;
-pub mod ecc_hardened;
 pub mod gray;
-pub mod hardened;
 pub mod offset;
+pub mod protected;
 pub mod self_organizing;
 pub mod t0;
 pub mod t0_bi;
@@ -42,10 +41,11 @@ pub use binary::{BinaryDecoder, BinaryEncoder};
 pub use bus_invert::{BusInvertDecoder, BusInvertEncoder};
 pub use dual_t0::{DualT0Decoder, DualT0Encoder};
 pub use dual_t0_bi::{DualT0BiDecoder, DualT0BiEncoder};
-pub use ecc_hardened::{ecc_check_bits, EccHardened};
 pub use gray::{gray_decode, gray_encode, GrayDecoder, GrayEncoder};
-pub use hardened::Hardened;
 pub use offset::{OffsetDecoder, OffsetEncoder};
+pub use protected::{
+    ecc_check_bits, EccHardened, Hardened, LineCheck, Parity, Protected, SecDed, Verified,
+};
 pub use self_organizing::{SelfOrganizingDecoder, SelfOrganizingEncoder};
 pub use t0::{T0Decoder, T0Encoder};
 pub use t0_bi::{T0BiDecoder, T0BiEncoder};

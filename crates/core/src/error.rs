@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use crate::codes::{LineCheck, Parity, SecDed};
+
 /// Errors produced when constructing or operating a bus codec.
 ///
 /// All fallible public functions in this crate return this type. The
@@ -104,10 +106,11 @@ impl fmt::Display for RecoveryClass {
 impl CodecError {
     /// Classifies this error for stream-level recovery.
     ///
-    /// - [`Transient`][RecoveryClass::Transient]: the hardened wrapper's
-    ///   parity detection and the ECC wrapper's double-error detection
-    ///   (`ProtocolViolation` with code `"hardened"` or `"ecc"`, which by
-    ///   construction leave the inner decoder untouched) and
+    /// - [`Transient`][RecoveryClass::Transient]: a fault detected by the
+    ///   [`Protected`][crate::codes::Protected] wrapper's check lines
+    ///   (`ProtocolViolation` carrying a check kind's
+    ///   [`FAULT_CODE`][crate::codes::LineCheck::FAULT_CODE], which by
+    ///   construction leaves the inner decoder untouched) and
     ///   out-of-range input addresses;
     /// - [`Desync`][RecoveryClass::Desync]: every other protocol
     ///   violation and round-trip mismatches — the decoder's references
@@ -116,7 +119,9 @@ impl CodecError {
     ///   snapshot-restore errors.
     pub fn recovery_class(&self) -> RecoveryClass {
         match self {
-            CodecError::ProtocolViolation { code, .. } if *code == "hardened" || *code == "ecc" => {
+            CodecError::ProtocolViolation { code, .. }
+                if *code == Parity::FAULT_CODE || *code == SecDed::FAULT_CODE =>
+            {
                 RecoveryClass::Transient
             }
             CodecError::AddressOutOfRange { .. } => RecoveryClass::Transient,
@@ -217,11 +222,11 @@ mod tests {
 
     #[test]
     fn recovery_classes_cover_the_taxonomy() {
-        // Hardened parity detection is retryable: the wrapper documents
-        // that the inner decoder state is untouched on a parity error.
+        // Parity detection is retryable: the wrapper documents that the
+        // inner decoder state is untouched on a parity error.
         assert_eq!(
             CodecError::ProtocolViolation {
-                code: "hardened",
+                code: Parity::FAULT_CODE,
                 reason: "aux parity mismatch",
             }
             .recovery_class(),
@@ -291,11 +296,11 @@ mod tests {
                 width: 4,
             },
             CodecError::ProtocolViolation {
-                code: "hardened",
+                code: Parity::FAULT_CODE,
                 reason: "aux parity mismatch",
             },
             CodecError::ProtocolViolation {
-                code: "ecc",
+                code: SecDed::FAULT_CODE,
                 reason: "double-line error detected",
             },
             CodecError::ProtocolViolation {
@@ -322,7 +327,7 @@ mod tests {
                 CodecError::InvalidStride { .. } => RecoveryClass::Fatal,
                 CodecError::AddressOutOfRange { .. } => RecoveryClass::Transient,
                 CodecError::ProtocolViolation { code, .. } => {
-                    if *code == "hardened" || *code == "ecc" {
+                    if *code == Parity::FAULT_CODE || *code == SecDed::FAULT_CODE {
                         RecoveryClass::Transient
                     } else {
                         RecoveryClass::Desync

@@ -51,6 +51,7 @@
 //! # }
 //! ```
 
+use crate::bus::BusWidth;
 use crate::error::CodecError;
 use crate::traits::{CodeKind, CodeParams, Decoder, Encoder};
 
@@ -240,11 +241,18 @@ impl<T: Encoder + Snapshot + Send + ?Sized> SnapshotEncoder for T {}
 pub trait SnapshotDecoder: Decoder + Snapshot + Send {}
 impl<T: Decoder + Snapshot + Send + ?Sized> SnapshotDecoder for T {}
 
+/// The self-organizing code's `(low_bits, entries)` geometry scaled to
+/// the bus: 8 offset bits and 16 list entries on wide buses, shrinking
+/// gracefully on narrow ones.
+pub(crate) fn self_org_geometry(width: BusWidth) -> (u32, u32) {
+    let low_bits = 8.min(width.bits() - 1);
+    (low_bits, 16.min(width.bits() - low_bits))
+}
+
 impl CodeKind {
     /// Builds this code's encoder behind the checkpointable
-    /// [`SnapshotEncoder`] bound.
-    ///
-    /// Same construction as [`CodeKind::encoder`].
+    /// [`SnapshotEncoder`] bound — the one per-code construction ladder;
+    /// [`CodeKind::encoder`] and the tier factories build on it.
     ///
     /// # Errors
     ///
@@ -269,8 +277,7 @@ impl CodeKind {
             }
             CodeKind::Beach => Box::new(BeachCode::identity(params.width).into_encoder()),
             CodeKind::SelfOrganizing => {
-                let low_bits = 8.min(params.width.bits() - 1);
-                let entries = 16.min(params.width.bits() - low_bits);
+                let (low_bits, entries) = self_org_geometry(params.width);
                 Box::new(SelfOrganizingEncoder::new(params.width, low_bits, entries)?)
             }
         })
@@ -301,85 +308,10 @@ impl CodeKind {
             }
             CodeKind::Beach => Box::new(BeachCode::identity(params.width).into_decoder()),
             CodeKind::SelfOrganizing => {
-                let low_bits = 8.min(params.width.bits() - 1);
-                let entries = 16.min(params.width.bits() - low_bits);
+                let (low_bits, entries) = self_org_geometry(params.width);
                 Box::new(SelfOrganizingDecoder::new(params.width, low_bits, entries)?)
             }
         })
-    }
-
-    /// Builds this code's encoder wrapped in
-    /// [`Hardened`][crate::codes::Hardened], behind the checkpointable
-    /// bound.
-    ///
-    /// # Errors
-    ///
-    /// Propagates constructor and wrapper validation errors.
-    pub fn hardened_snapshot_encoder(
-        self,
-        params: CodeParams,
-        refresh: u64,
-    ) -> Result<Box<dyn SnapshotEncoder>, CodecError> {
-        let inner = self.snapshot_encoder(params)?;
-        let aux = inner.aux_line_count();
-        Ok(Box::new(crate::codes::Hardened::with_aux_lines(
-            inner, refresh, aux,
-        )?))
-    }
-
-    /// Builds the decoder paired with
-    /// [`CodeKind::hardened_snapshot_encoder`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates constructor and wrapper validation errors.
-    pub fn hardened_snapshot_decoder(
-        self,
-        params: CodeParams,
-        refresh: u64,
-    ) -> Result<Box<dyn SnapshotDecoder>, CodecError> {
-        let aux = self.aux_line_count(params)?;
-        Ok(Box::new(crate::codes::Hardened::with_aux_lines(
-            self.snapshot_decoder(params)?,
-            refresh,
-            aux,
-        )?))
-    }
-
-    /// Builds this code's encoder wrapped in
-    /// [`EccHardened`][crate::codes::EccHardened], behind the
-    /// checkpointable bound.
-    ///
-    /// # Errors
-    ///
-    /// Propagates constructor and wrapper validation errors.
-    pub fn ecc_snapshot_encoder(
-        self,
-        params: CodeParams,
-        refresh: u64,
-    ) -> Result<Box<dyn SnapshotEncoder>, CodecError> {
-        let inner = self.snapshot_encoder(params)?;
-        Ok(Box::new(crate::codes::EccHardened::encoder(
-            inner, refresh,
-        )?))
-    }
-
-    /// Builds the decoder paired with [`CodeKind::ecc_snapshot_encoder`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates constructor and wrapper validation errors.
-    pub fn ecc_snapshot_decoder(
-        self,
-        params: CodeParams,
-        refresh: u64,
-    ) -> Result<Box<dyn SnapshotDecoder>, CodecError> {
-        let aux = self.aux_line_count(params)?;
-        Ok(Box::new(crate::codes::EccHardened::with_aux_lines(
-            self.snapshot_decoder(params)?,
-            refresh,
-            aux,
-        )?))
     }
 }
 
@@ -435,9 +367,13 @@ mod tests {
         for kind in CodeKind::all() {
             let enc = kind.snapshot_encoder(params).unwrap();
             let dec = kind.snapshot_decoder(params).unwrap();
+            assert_eq!((enc.name(), dec.name()), (kind.name(), kind.name()));
+            assert_eq!(enc.width(), params.width);
             assert_eq!(enc.snapshot().code(), kind.name());
             assert_eq!(dec.snapshot().code(), kind.name());
-            let henc = kind.hardened_snapshot_encoder(params, 16).unwrap();
+            let henc = kind
+                .tier_snapshot_encoder(params, crate::Tier::Parity, 16)
+                .unwrap();
             assert!(henc.snapshot().code().starts_with("hardened:"));
         }
     }

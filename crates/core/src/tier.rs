@@ -2,16 +2,19 @@
 //! factory that builds any code at any rung.
 //!
 //! Every runtime layer prices the same redundancy trade-off: run the
-//! inner code alone ([`Tier::Bare`]), add aux-parity detection with
-//! periodic refresh ([`Tier::Parity`], the
-//! [`Hardened`][crate::codes::Hardened] wrapper), or pay for SEC-DED
-//! in-flight correction ([`Tier::Ecc`], the
-//! [`EccHardened`][crate::codes::EccHardened] wrapper). The fault
-//! campaigns, the streaming pipeline, and the link layer all walk this
-//! one ladder; [`CodeKind::build_codec`] and
-//! [`CodeKind::build_snapshot_codec`] are the single construction path
-//! they share.
+//! inner code alone ([`Tier::Bare`]), or wrap it in the one protection
+//! wrapper, [`Protected`][crate::codes::Protected], whose check kind the
+//! tier picks — aux-parity detection with periodic refresh
+//! ([`Tier::Parity`], kind [`Parity`][crate::codes::Parity]) or SEC-DED
+//! in-flight correction with the same refresh ([`Tier::Ecc`], kind
+//! [`SecDed`][crate::codes::SecDed]). The fault campaigns, the streaming
+//! pipeline, and the link layer all walk this one ladder;
+//! [`CodeKind::tier_snapshot_encoder`] and
+//! [`CodeKind::tier_snapshot_decoder`] are the single construction path
+//! they share, and [`CodeKind::build_codec`] is the same pair behind the
+//! plain [`Encoder`]/[`Decoder`] bounds.
 
+use crate::codes::{EccHardened, Hardened};
 use crate::snapshot::{SnapshotDecoder, SnapshotEncoder};
 use crate::traits::{CodeKind, CodeParams, Decoder, Encoder};
 use crate::CodecError;
@@ -25,10 +28,13 @@ pub enum Tier {
     /// The inner code alone — no detection, no correction.
     Bare,
     /// Aux-parity detection plus periodic refresh
-    /// ([`Hardened`][crate::codes::Hardened]).
+    /// ([`Hardened`][crate::codes::Hardened]: the
+    /// [`Parity`][crate::codes::Parity] kind of
+    /// [`Protected`][crate::codes::Protected]).
     Parity,
     /// SEC-DED in-flight correction plus overall parity and periodic
-    /// refresh ([`EccHardened`][crate::codes::EccHardened]).
+    /// refresh ([`EccHardened`][crate::codes::EccHardened]: the
+    /// [`SecDed`][crate::codes::SecDed] kind).
     Ecc,
 }
 
@@ -83,47 +89,14 @@ impl core::fmt::Display for Tier {
 }
 
 impl CodeKind {
-    /// Builds this code's encoder at the given protection tier.
+    /// Builds this code's encoder at the given protection tier, behind
+    /// the checkpointable [`SnapshotEncoder`] bound: the codec of
+    /// [`CodeKind::snapshot_encoder`], wrapped for [`Tier::Parity`] and
+    /// [`Tier::Ecc`] in the [`Protected`][crate::codes::Protected]
+    /// wrapper of the tier's check kind.
     ///
-    /// `refresh` is the hardening refresh interval; [`Tier::Bare`]
+    /// `refresh` is the protection refresh interval; [`Tier::Bare`]
     /// ignores it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates constructor and wrapper validation errors.
-    pub fn tier_encoder(
-        self,
-        params: CodeParams,
-        tier: Tier,
-        refresh: u64,
-    ) -> Result<Box<dyn Encoder>, CodecError> {
-        Ok(match tier {
-            Tier::Bare => self.encoder(params)?,
-            Tier::Parity => Box::new(self.hardened_encoder(params, refresh)?),
-            Tier::Ecc => Box::new(self.ecc_encoder(params, refresh)?),
-        })
-    }
-
-    /// Builds the decoder paired with [`CodeKind::tier_encoder`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates constructor and wrapper validation errors.
-    pub fn tier_decoder(
-        self,
-        params: CodeParams,
-        tier: Tier,
-        refresh: u64,
-    ) -> Result<Box<dyn Decoder>, CodecError> {
-        Ok(match tier {
-            Tier::Bare => self.decoder(params)?,
-            Tier::Parity => Box::new(self.hardened_decoder(params, refresh)?),
-            Tier::Ecc => Box::new(self.ecc_decoder(params, refresh)?),
-        })
-    }
-
-    /// Builds this code's encoder at the given tier behind the
-    /// checkpointable [`SnapshotEncoder`] bound.
     ///
     /// # Errors
     ///
@@ -134,11 +107,12 @@ impl CodeKind {
         tier: Tier,
         refresh: u64,
     ) -> Result<Box<dyn SnapshotEncoder>, CodecError> {
-        match tier {
-            Tier::Bare => self.snapshot_encoder(params),
-            Tier::Parity => self.hardened_snapshot_encoder(params, refresh),
-            Tier::Ecc => self.ecc_snapshot_encoder(params, refresh),
-        }
+        let inner = self.snapshot_encoder(params)?;
+        Ok(match tier {
+            Tier::Bare => inner,
+            Tier::Parity => Box::new(Hardened::encoder(inner, refresh)?),
+            Tier::Ecc => Box::new(EccHardened::encoder(inner, refresh)?),
+        })
     }
 
     /// Builds the decoder paired with
@@ -153,16 +127,26 @@ impl CodeKind {
         tier: Tier,
         refresh: u64,
     ) -> Result<Box<dyn SnapshotDecoder>, CodecError> {
-        match tier {
-            Tier::Bare => self.snapshot_decoder(params),
-            Tier::Parity => self.hardened_snapshot_decoder(params, refresh),
-            Tier::Ecc => self.ecc_snapshot_decoder(params, refresh),
-        }
+        let inner = self.snapshot_decoder(params)?;
+        Ok(match tier {
+            Tier::Bare => inner,
+            Tier::Parity => Box::new(Hardened::with_aux_lines(
+                inner,
+                refresh,
+                self.aux_line_count(params)?,
+            )?),
+            Tier::Ecc => Box::new(EccHardened::with_aux_lines(
+                inner,
+                refresh,
+                self.aux_line_count(params)?,
+            )?),
+        })
     }
 
     /// Builds the matched encoder/decoder pair for this code at the
     /// given tier — the one construction path the fault campaigns, the
-    /// pipeline, and the link layer share.
+    /// pipeline, and the link layer share. The pair of
+    /// [`CodeKind::build_snapshot_codec`] behind the plain bounds.
     ///
     /// # Errors
     ///
@@ -174,14 +158,12 @@ impl CodeKind {
         tier: Tier,
         refresh: u64,
     ) -> Result<(Box<dyn Encoder>, Box<dyn Decoder>), CodecError> {
-        Ok((
-            self.tier_encoder(params, tier, refresh)?,
-            self.tier_decoder(params, tier, refresh)?,
-        ))
+        let (enc, dec) = self.build_snapshot_codec(params, tier, refresh)?;
+        Ok((enc, dec))
     }
 
-    /// [`CodeKind::build_codec`] behind the checkpointable snapshot
-    /// bounds.
+    /// The matched encoder/decoder pair behind the checkpointable
+    /// snapshot bounds.
     ///
     /// # Errors
     ///
@@ -235,16 +217,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn snapshot_factory_matches_the_plain_one() {
-        let params = CodeParams::default();
-        let (mut enc, mut dec) = CodeKind::T0
-            .build_snapshot_codec(params, Tier::Ecc, 8)
-            .expect("valid params");
-        let access = Access::instruction(0x1000);
-        let word = enc.encode(access);
-        assert_eq!(dec.decode(word, access.kind).expect("clean bus"), 0x1000);
     }
 }

@@ -5,15 +5,16 @@
 //! blocks), `encode_block` / `count_block` / `activity_block` /
 //! `decode_block` must produce the same bus words, transition counts,
 //! per-line profiles and decoded addresses as the word-at-a-time path.
-//! These properties are exercised for every code, bare and hardened, on
-//! narrow and full-width buses, with randomized block boundaries.
+//! These properties are exercised for every code at every protection tier
+//! (bare, parity, ECC), on narrow and full-width buses, with randomized
+//! block boundaries.
 
 use buscode_core::metrics::{
     count_transitions_per_word, count_transitions_slice, line_activity_per_word,
     line_activity_slice, LineActivity, TransitionStats,
 };
 use buscode_core::rng::Rng64;
-use buscode_core::{Access, AccessKind, BusState, CodeKind, CodeParams, Decoder, Encoder};
+use buscode_core::{Access, AccessKind, BusState, CodeKind, CodeParams, Decoder, Encoder, Tier};
 
 const CASES: usize = 3;
 const STREAM_LEN: u64 = 400;
@@ -53,45 +54,36 @@ fn random_blocks<'a>(rng: &mut Rng64, s: &'a [Access]) -> Vec<&'a [Access]> {
     blocks
 }
 
-fn for_each_codec(mut f: impl FnMut(CodeKind, CodeParams, bool)) {
+fn for_each_codec(mut f: impl FnMut(CodeKind, CodeParams, Tier)) {
     for &(bits, stride) in SHAPES {
         let params = CodeParams::new(bits, stride).expect("valid shape");
         for kind in CodeKind::all() {
-            f(kind, params, false);
-            f(kind, params, true);
+            for &tier in Tier::all() {
+                f(kind, params, tier);
+            }
         }
     }
+}
+
+/// The tier factory's pair, refreshing every 16 cycles when protected.
+fn codec(kind: CodeKind, params: CodeParams, tier: Tier) -> (Box<dyn Encoder>, Box<dyn Decoder>) {
+    kind.build_codec(params, tier, 16).unwrap()
 }
 
 #[test]
 fn encode_block_matches_per_word_at_random_boundaries() {
     let mut rng = Rng64::seed_from_u64(0xb10c_0001);
-    for_each_codec(|kind, params, hardened| {
+    for_each_codec(|kind, params, tier| {
         for case in 0..CASES {
             let stream = mixed_stream(&mut rng, params, STREAM_LEN);
-            let ctx = format!("{kind} hardened={hardened} {params:?} case {case}");
-            let (reference, blocked) = if hardened {
-                let mut enc = kind.hardened_encoder(params, 16).unwrap();
-                let reference: Vec<BusState> = stream
-                    .iter()
-                    .map(|&a| buscode_core::Encoder::encode(&mut enc, a))
-                    .collect();
-                enc.reset();
-                let mut blocked = Vec::new();
-                for blk in random_blocks(&mut rng, &stream) {
-                    buscode_core::Encoder::encode_block(&mut enc, blk, &mut blocked);
-                }
-                (reference, blocked)
-            } else {
-                let mut enc = kind.encoder(params).unwrap();
-                let reference: Vec<BusState> = stream.iter().map(|&a| enc.encode(a)).collect();
-                enc.reset();
-                let mut blocked = Vec::new();
-                for blk in random_blocks(&mut rng, &stream) {
-                    enc.encode_block(blk, &mut blocked);
-                }
-                (reference, blocked)
-            };
+            let ctx = format!("{kind} {tier} {params:?} case {case}");
+            let (mut enc, _) = codec(kind, params, tier);
+            let reference: Vec<BusState> = stream.iter().map(|&a| enc.encode(a)).collect();
+            enc.reset();
+            let mut blocked = Vec::new();
+            for blk in random_blocks(&mut rng, &stream) {
+                enc.encode_block(blk, &mut blocked);
+            }
             assert_eq!(reference, blocked, "{ctx}");
         }
     });
@@ -100,15 +92,11 @@ fn encode_block_matches_per_word_at_random_boundaries() {
 #[test]
 fn count_block_matches_per_word_at_random_boundaries() {
     let mut rng = Rng64::seed_from_u64(0xb10c_0002);
-    for_each_codec(|kind, params, hardened| {
+    for_each_codec(|kind, params, tier| {
         for case in 0..CASES {
             let stream = mixed_stream(&mut rng, params, STREAM_LEN);
-            let ctx = format!("{kind} hardened={hardened} {params:?} case {case}");
-            let mut enc: Box<dyn buscode_core::Encoder> = if hardened {
-                Box::new(kind.hardened_encoder(params, 16).unwrap())
-            } else {
-                kind.encoder(params).unwrap()
-            };
+            let ctx = format!("{kind} {tier} {params:?} case {case}");
+            let (mut enc, _) = codec(kind, params, tier);
             let reference = count_transitions_per_word(enc.as_mut(), stream.iter().copied());
             enc.reset();
             let mut stats = TransitionStats::default();
@@ -130,15 +118,11 @@ fn count_block_matches_per_word_at_random_boundaries() {
 #[test]
 fn activity_block_matches_per_word_at_random_boundaries() {
     let mut rng = Rng64::seed_from_u64(0xb10c_0003);
-    for_each_codec(|kind, params, hardened| {
+    for_each_codec(|kind, params, tier| {
         for case in 0..CASES {
             let stream = mixed_stream(&mut rng, params, STREAM_LEN);
-            let ctx = format!("{kind} hardened={hardened} {params:?} case {case}");
-            let mut enc: Box<dyn buscode_core::Encoder> = if hardened {
-                Box::new(kind.hardened_encoder(params, 16).unwrap())
-            } else {
-                kind.encoder(params).unwrap()
-            };
+            let ctx = format!("{kind} {tier} {params:?} case {case}");
+            let (mut enc, _) = codec(kind, params, tier);
             let reference = line_activity_per_word(enc.as_mut(), stream.iter().copied());
             enc.reset();
             let mut activity = LineActivity::for_encoder(enc.as_ref());
@@ -165,44 +149,21 @@ fn activity_block_matches_per_word_at_random_boundaries() {
 #[test]
 fn decode_block_round_trips_at_random_boundaries() {
     let mut rng = Rng64::seed_from_u64(0xb10c_0004);
-    for_each_codec(|kind, params, hardened| {
+    for_each_codec(|kind, params, tier| {
         let stream = mixed_stream(&mut rng, params, STREAM_LEN);
-        let ctx = format!("{kind} hardened={hardened} {params:?}");
+        let ctx = format!("{kind} {tier} {params:?}");
         let mask = params.width.mask();
-        let (words, decoded) = if hardened {
-            let mut enc = kind.hardened_encoder(params, 16).unwrap();
-            let mut dec = kind.hardened_decoder(params, 16).unwrap();
-            let mut words = Vec::new();
-            buscode_core::Encoder::encode_block(&mut enc, &stream, &mut words);
-            let mut decoded = Vec::new();
-            let mut at = 0usize;
-            for blk in random_blocks(&mut rng, &stream) {
-                let kinds: Vec<AccessKind> = blk.iter().map(|a| a.kind).collect();
-                buscode_core::Decoder::decode_block(
-                    &mut dec,
-                    &words[at..at + blk.len()],
-                    &kinds,
-                    &mut decoded,
-                )
+        let (mut enc, mut dec) = codec(kind, params, tier);
+        let mut words = Vec::new();
+        enc.encode_block(&stream, &mut words);
+        let mut decoded = Vec::new();
+        let mut at = 0usize;
+        for blk in random_blocks(&mut rng, &stream) {
+            let kinds: Vec<AccessKind> = blk.iter().map(|a| a.kind).collect();
+            dec.decode_block(&words[at..at + blk.len()], &kinds, &mut decoded)
                 .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                at += blk.len();
-            }
-            (words, decoded)
-        } else {
-            let mut enc = kind.encoder(params).unwrap();
-            let mut dec = kind.decoder(params).unwrap();
-            let mut words = Vec::new();
-            enc.encode_block(&stream, &mut words);
-            let mut decoded = Vec::new();
-            let mut at = 0usize;
-            for blk in random_blocks(&mut rng, &stream) {
-                let kinds: Vec<AccessKind> = blk.iter().map(|a| a.kind).collect();
-                dec.decode_block(&words[at..at + blk.len()], &kinds, &mut decoded)
-                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                at += blk.len();
-            }
-            (words, decoded)
-        };
+            at += blk.len();
+        }
         assert_eq!(words.len(), decoded.len(), "{ctx}");
         for (i, (&got, access)) in decoded.iter().zip(&stream).enumerate() {
             assert_eq!(got, access.address & mask, "{ctx}, cycle {i}");

@@ -14,13 +14,12 @@
 //!   ([`GeChannel`]) whose state-dependent flip/erase/drop perils the
 //!   link layer (`buscode-link`) retransmits through;
 //! - [`campaign`] — seeded Monte Carlo campaigns over every code × stream
-//!   kind, bare and under the
-//!   [`Hardened`][buscode_core::codes::Hardened] wrapper, reporting
+//!   kind, bare and under the parity kind of the
+//!   [`Protected`][buscode_core::codes::Protected] wrapper, reporting
 //!   silent-data-corruption rate, detection rate, and cycles-to-resync —
 //!   plus the parity-vs-ECC comparison grid
-//!   ([`campaign::run_comparison`]) that additionally
-//!   sweeps the [`EccHardened`][buscode_core::codes::EccHardened] tier
-//!   and counts in-flight corrections;
+//!   ([`campaign::run_comparison`]) that additionally sweeps the same
+//!   wrapper's SEC-DED kind and counts in-flight corrections;
 //! - [`gate`] — the same idea at gate level: stuck-at and flip-flop SEU
 //!   injection inside the synthesized codec netlists via
 //!   [`Simulator`][buscode_logic::Simulator]'s fault hooks.

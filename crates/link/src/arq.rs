@@ -40,7 +40,8 @@ pub struct LinkConfig {
     pub kind: CodeKind,
     /// Width and stride for the code.
     pub params: CodeParams,
-    /// Refresh period handed to the `Hardened`/ECC wrappers.
+    /// Refresh period handed to the `Protected` wrapper at the parity
+    /// and ECC tiers.
     pub refresh: u64,
     /// Go-back-N window: frames in flight before the sender stalls.
     /// Must stay below 128 so 8-bit sequence numbers stay unambiguous.
@@ -363,24 +364,6 @@ pub fn tier_code(tier: Tier) -> u8 {
     tier_rank(tier)
 }
 
-fn build_encoder(
-    kind: CodeKind,
-    params: CodeParams,
-    refresh: u64,
-    tier: Tier,
-) -> Result<Box<dyn SnapshotEncoder>, CodecError> {
-    kind.tier_snapshot_encoder(params, tier, refresh)
-}
-
-fn build_decoder(
-    kind: CodeKind,
-    params: CodeParams,
-    refresh: u64,
-    tier: Tier,
-) -> Result<Box<dyn SnapshotDecoder>, CodecError> {
-    kind.tier_snapshot_decoder(params, tier, refresh)
-}
-
 /// Splits one wire transition count into codec lines vs overhead lines.
 fn wire_transitions(prev: BusState, cur: BusState, aux_lines: u32) -> (u64, u64) {
     let payload = (prev.payload ^ cur.payload).count_ones();
@@ -442,11 +425,14 @@ impl LinkSession {
         let start = config.redundancy.start;
         let mut aux_by_tier = [0u32; 3];
         for tier in [Tier::Bare, Tier::Parity, Tier::Ecc] {
-            let probe = build_encoder(config.kind, config.params, config.refresh, tier)?;
+            let probe = config
+                .kind
+                .tier_snapshot_encoder(config.params, tier, config.refresh)?;
             aux_by_tier[tier_rank(tier) as usize] = probe.aux_line_count();
         }
-        let enc = build_encoder(config.kind, config.params, config.refresh, start)?;
-        let dec = build_decoder(config.kind, config.params, config.refresh, start)?;
+        let (enc, dec) = config
+            .kind
+            .build_snapshot_codec(config.params, start, config.refresh)?;
         let geometry = BusGeometry::new(
             config.params.width.bits(),
             enc.aux_line_count() + OVERHEAD_LINES,
@@ -480,12 +466,8 @@ impl LinkSession {
         base: usize,
         force_beacon: &mut bool,
     ) -> Result<(), CodecError> {
-        self.enc = build_encoder(
-            self.config.kind,
-            self.config.params,
-            self.config.refresh,
-            tier,
-        )?;
+        let c = &self.config;
+        self.enc = c.kind.tier_snapshot_encoder(c.params, tier, c.refresh)?;
         self.sender_tier = tier;
         for slot in encoded[base..].iter_mut() {
             *slot = None;
@@ -760,12 +742,8 @@ impl LinkSession {
             // Harvest the retiring decoder's correction count before
             // rebuilding at the new rung.
             stats.corrected += self.dec.corrected_count();
-            self.dec = build_decoder(
-                self.config.kind,
-                self.config.params,
-                self.config.refresh,
-                tier,
-            )?;
+            let c = &self.config;
+            self.dec = c.kind.tier_snapshot_decoder(c.params, tier, c.refresh)?;
             self.receiver_tier = tier;
         }
         if frame.beacon() {

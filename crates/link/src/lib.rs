@@ -14,8 +14,8 @@
 //! - [`arq`] — the [`LinkSession`] state machine: windowed go-back-N
 //!   with cumulative ACKs, NAK/timeout rewinds under capped exponential
 //!   [`Backoff`][buscode_engine::Backoff], periodic beacon resyncs
-//!   (reusing the `Hardened` refresh contract), and redundancy-ladder
-//!   escalation hints when the bad state persists;
+//!   (reusing the `Protected` wrapper's refresh contract), and
+//!   redundancy-ladder escalation hints when the bad state persists;
 //! - [`campaign`] — seeded sweeps of codes × stream models × channel
 //!   profiles behind the `linkrun` CLI, sharded byte-identically over a
 //!   [`SweepEngine`][buscode_engine::SweepEngine], with

@@ -276,8 +276,9 @@ mod tests {
 
     fn sample() -> Checkpoint {
         let params = CodeParams::default();
-        let enc = CodeKind::T0.hardened_snapshot_encoder(params, 16).unwrap();
-        let dec = CodeKind::T0.hardened_snapshot_decoder(params, 16).unwrap();
+        let (enc, dec) = CodeKind::T0
+            .build_snapshot_codec(params, Tier::Parity, 16)
+            .unwrap();
         Checkpoint {
             code: CodeKind::T0,
             params,

@@ -5,9 +5,10 @@
 //! The codecs in `buscode-core` are *mechanisms*: they encode and decode
 //! one word at a time, and the stateful ones (T0 and its descendants)
 //! silently desynchronize when a fault corrupts their shared reference
-//! state. PR 2's [`Hardened`][buscode_core::codes::Hardened] wrapper adds
-//! detection and a bounded resync at the codec level — this crate adds
-//! the *policy* layer a production service needs above it:
+//! state. The [`Protected`][buscode_core::codes::Protected] wrapper adds
+//! detection (parity) or in-flight correction (SEC-DED) and a bounded
+//! resync at the codec level — this crate adds the *policy* layer a
+//! production service needs above it:
 //!
 //! - **Bounded-memory chunked driving** ([`Pipeline::run`]): arbitrarily
 //!   long access streams are processed through a fixed-size chunk buffer,

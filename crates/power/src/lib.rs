@@ -43,7 +43,6 @@ pub use codec_power::{
 pub use pads::PadModel;
 pub use soc::{evaluate_soc, LevelEstimate, SocConfig, SocReport};
 pub use system::{
-    bus_power, degradation_cost, ecc_bus_power, ecc_cost, hardened_bus_power, hardening_cost,
-    rank_codes, retransmission_cost, BusPowerEstimate, DegradationCost, EccCost, HardeningCost,
-    RetransmissionCost,
+    bus_power, degradation_cost, ecc_cost, hardening_cost, rank_codes, retransmission_cost,
+    tier_bus_power, BusPowerEstimate, DegradationCost, EccCost, HardeningCost, RetransmissionCost,
 };

@@ -8,7 +8,7 @@
 //! explores.
 
 use buscode_core::metrics::count_transitions;
-use buscode_core::{Access, CodeKind, CodeParams, CodecError, TransitionStats};
+use buscode_core::{Access, CodeKind, CodeParams, CodecError, Tier, TransitionStats};
 use buscode_logic::{milliwatts, Technology};
 
 /// A bus power estimate for one code on one stream.
@@ -55,7 +55,35 @@ pub fn bus_power(
     line_cap_pf: f64,
     tech: Technology,
 ) -> Result<BusPowerEstimate, CodecError> {
-    let mut encoder = code.encoder(params)?;
+    tier_bus_power(code, params, Tier::Bare, 1, stream, line_cap_pf, tech)
+}
+
+/// Estimates the bus power of `code` at a protection tier: the same
+/// transition-count model as [`bus_power`], but above [`Tier::Bare`] the
+/// counted lines include the
+/// [`Protected`][buscode_core::codes::Protected] wrapper's check lines
+/// (one parity line, or the SEC-DED check and overall-parity lines) and
+/// the refresh cycles' forced plain words. This is the power side of the
+/// power-vs-reliability trade-off the fault campaigns quantify the
+/// reliability side of.
+///
+/// `refresh` is the protection refresh interval; [`Tier::Bare`] ignores
+/// it.
+///
+/// # Errors
+///
+/// Propagates construction errors from the code's encoder factory and the
+/// wrapper (`refresh == 0`).
+pub fn tier_bus_power(
+    code: CodeKind,
+    params: CodeParams,
+    tier: Tier,
+    refresh: u64,
+    stream: &[Access],
+    line_cap_pf: f64,
+    tech: Technology,
+) -> Result<BusPowerEstimate, CodecError> {
+    let mut encoder = code.tier_snapshot_encoder(params, tier, refresh)?;
     let stats = count_transitions(encoder.as_mut(), stream.iter().copied());
     let line_cap = line_cap_pf * 1e-12;
     let switched_cap_per_cycle = stats.per_cycle() * line_cap;
@@ -68,9 +96,9 @@ pub fn bus_power(
     })
 }
 
-/// A power-vs-reliability point: the same code bare and under
-/// [`Hardened`][buscode_core::codes::Hardened], with the overhead the
-/// parity line and refresh words cost.
+/// A power-vs-reliability point: the same code bare and at
+/// [`Tier::Parity`] ([`Hardened`][buscode_core::codes::Hardened]), with
+/// the overhead the parity line and refresh words cost.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HardeningCost {
     /// The code.
@@ -94,43 +122,11 @@ impl HardeningCost {
     }
 }
 
-/// Estimates the bus power of `code` under the
-/// [`Hardened`][buscode_core::codes::Hardened] wrapper: the same
-/// transition-count model as [`bus_power`], but the counted lines include
-/// the parity line and the refresh cycles' forced plain words. This is
-/// the power side of the power-vs-reliability trade-off the fault
-/// campaigns quantify the reliability side of.
-///
-/// # Errors
-///
-/// Propagates construction errors from the code's encoder factory and the
-/// wrapper (`refresh == 0`).
-pub fn hardened_bus_power(
-    code: CodeKind,
-    params: CodeParams,
-    refresh: u64,
-    stream: &[Access],
-    line_cap_pf: f64,
-    tech: Technology,
-) -> Result<BusPowerEstimate, CodecError> {
-    let mut encoder = code.hardened_encoder(params, refresh)?;
-    let stats = count_transitions(&mut encoder, stream.iter().copied());
-    let line_cap = line_cap_pf * 1e-12;
-    let switched_cap_per_cycle = stats.per_cycle() * line_cap;
-    let bus_w = 0.5 * tech.vdd * tech.vdd * tech.frequency * switched_cap_per_cycle;
-    Ok(BusPowerEstimate {
-        code,
-        stats,
-        switched_cap_per_cycle,
-        bus_mw: milliwatts(bus_w),
-    })
-}
-
 /// The bare-vs-hardened cost point for one code on one stream.
 ///
 /// # Errors
 ///
-/// Propagates [`bus_power`] and [`hardened_bus_power`] errors.
+/// Propagates [`tier_bus_power`] errors.
 pub fn hardening_cost(
     code: CodeKind,
     params: CodeParams,
@@ -139,52 +135,21 @@ pub fn hardening_cost(
     line_cap_pf: f64,
     tech: Technology,
 ) -> Result<HardeningCost, CodecError> {
-    let bare = bus_power(code, params, stream, line_cap_pf, tech)?;
-    let hardened = hardened_bus_power(code, params, refresh, stream, line_cap_pf, tech)?;
+    let mw = |tier| {
+        tier_bus_power(code, params, tier, refresh, stream, line_cap_pf, tech).map(|e| e.bus_mw)
+    };
     Ok(HardeningCost {
         code,
         refresh,
-        bare_mw: bare.bus_mw,
-        hardened_mw: hardened.bus_mw,
+        bare_mw: mw(Tier::Bare)?,
+        hardened_mw: mw(Tier::Parity)?,
     })
 }
 
-/// Estimates the bus power of `code` under the
-/// [`EccHardened`][buscode_core::codes::EccHardened] wrapper: the counted
-/// lines include the inner code's aux lines, the SEC-DED check lines, the
-/// overall parity line, and the refresh cycles' forced plain words.
-///
-/// # Errors
-///
-/// Propagates construction errors from the code's encoder factory and the
-/// wrapper (`refresh == 0`).
-pub fn ecc_bus_power(
-    code: CodeKind,
-    params: CodeParams,
-    refresh: u64,
-    stream: &[Access],
-    line_cap_pf: f64,
-    tech: Technology,
-) -> Result<BusPowerEstimate, CodecError> {
-    let mut encoder = code.ecc_encoder(params, refresh)?;
-    let stats = count_transitions(&mut encoder, stream.iter().copied());
-    let line_cap = line_cap_pf * 1e-12;
-    let switched_cap_per_cycle = stats.per_cycle() * line_cap;
-    let bus_w = 0.5 * tech.vdd * tech.vdd * tech.frequency * switched_cap_per_cycle;
-    Ok(BusPowerEstimate {
-        code,
-        stats,
-        switched_cap_per_cycle,
-        bus_mw: milliwatts(bus_w),
-    })
-}
-
-/// The full redundancy ladder priced on one stream: the same code bare,
-/// under parity detection ([`Hardened`][buscode_core::codes::Hardened]),
-/// and under SEC-DED correction
-/// ([`EccHardened`][buscode_core::codes::EccHardened]). This is the table
-/// the adaptive redundancy manager consults when deciding what a tier
-/// escalation costs in milliwatts.
+/// The full redundancy ladder priced on one stream: the same code at
+/// every [`Tier`] — bare, under parity detection, and under SEC-DED
+/// correction. This is the table the adaptive redundancy manager
+/// consults when deciding what a tier escalation costs in milliwatts.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EccCost {
     /// The code.
@@ -229,8 +194,7 @@ impl EccCost {
 ///
 /// # Errors
 ///
-/// Propagates [`bus_power`], [`hardened_bus_power`], and
-/// [`ecc_bus_power`] errors.
+/// Propagates [`tier_bus_power`] errors.
 pub fn ecc_cost(
     code: CodeKind,
     params: CodeParams,
@@ -239,15 +203,15 @@ pub fn ecc_cost(
     line_cap_pf: f64,
     tech: Technology,
 ) -> Result<EccCost, CodecError> {
-    let bare = bus_power(code, params, stream, line_cap_pf, tech)?;
-    let parity = hardened_bus_power(code, params, refresh, stream, line_cap_pf, tech)?;
-    let ecc = ecc_bus_power(code, params, refresh, stream, line_cap_pf, tech)?;
+    let mw = |tier| {
+        tier_bus_power(code, params, tier, refresh, stream, line_cap_pf, tech).map(|e| e.bus_mw)
+    };
     Ok(EccCost {
         code,
         refresh,
-        bare_mw: bare.bus_mw,
-        parity_mw: parity.bus_mw,
-        ecc_mw: ecc.bus_mw,
+        bare_mw: mw(Tier::Bare)?,
+        parity_mw: mw(Tier::Parity)?,
+        ecc_mw: mw(Tier::Ecc)?,
     })
 }
 
@@ -375,8 +339,9 @@ impl RetransmissionCost {
 /// (retransmissions included) and `overhead_transitions` the transitions
 /// on the frame-overhead lines (sequence, control, CRC) — both straight
 /// from `buscode-link`'s session stats. The ECC side reuses
-/// [`ecc_bus_power`] on the clean stream: SEC-DED absorbs single flips
-/// in-flight, so its per-cycle power *is* its per-delivered-word power.
+/// [`tier_bus_power`] at [`Tier::Ecc`] on the clean stream: SEC-DED
+/// absorbs single flips in-flight, so its per-cycle power *is* its
+/// per-delivered-word power.
 ///
 /// # Errors
 ///
@@ -401,7 +366,7 @@ pub fn retransmission_cost(
         });
     }
     let bare = bus_power(code, params, stream, line_cap_pf, tech)?;
-    let ecc = ecc_bus_power(code, params, refresh, stream, line_cap_pf, tech)?;
+    let ecc = tier_bus_power(code, params, Tier::Ecc, refresh, stream, line_cap_pf, tech)?;
     let line_cap = line_cap_pf * 1e-12;
     let per_delivered = (link_transitions + overhead_transitions) as f64 / delivered_words as f64;
     let arq_w = 0.5 * tech.vdd * tech.vdd * tech.frequency * per_delivered * line_cap;
@@ -555,7 +520,7 @@ mod tests {
         assert!((clean.arq_mw - clean.bare_mw).abs() < 1e-12);
         assert!((clean.arq_overhead_percent()).abs() < 1e-9);
         // The ECC leg agrees with the direct estimator.
-        let ecc = ecc_bus_power(CodeKind::T0, params, 32, &stream, 50.0, tech).unwrap();
+        let ecc = tier_bus_power(CodeKind::T0, params, Tier::Ecc, 32, &stream, 50.0, tech).unwrap();
         assert_eq!(clean.ecc_mw, ecc.bus_mw);
         // A clean channel is ARQ territory: no retransmissions, so ECC's
         // always-on check lines lose.

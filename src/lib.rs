@@ -25,7 +25,7 @@
 //! - [`buscode_fault`] (`fault`) — fault models, seeded Monte Carlo
 //!   fault-injection campaigns (the `faultrun` tool), and gate-level
 //!   stuck-at/SEU injection, measuring the resilience side of the
-//!   power-vs-reliability trade-off of the `Hardened` codec wrapper;
+//!   power-vs-reliability trade-off of the `Protected` codec wrapper;
 //! - [`buscode_pipeline`] (`pipeline`) — the supervised streaming runtime
 //!   (the `pipeline` tool): bounded-memory chunked codec driving with
 //!   recovery policies, graceful degradation to binary, watchdog

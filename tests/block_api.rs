@@ -1,7 +1,8 @@
 //! Tier-1 property: the block API is observationally identical to the
 //! per-word API.
 //!
-//! Every code (bare and under the `Hardened` wrapper, at widths 4 and 8)
+//! Every code (at every protection tier — bare, parity, ECC — and widths
+//! 4 and 8)
 //! is driven twice over the same mixed stream: once word-by-word through
 //! `encode`/`decode`, once through `encode_block`/`decode_block` with
 //! randomized block boundaries — including empty and single-word blocks,
@@ -11,7 +12,7 @@
 
 use buscode::core::metrics::count_transitions;
 use buscode::core::{
-    Access, AccessKind, BusState, BusWidth, CodeKind, CodeParams, Decoder, Encoder, Stride,
+    Access, AccessKind, BusState, BusWidth, CodeKind, CodeParams, Decoder, Encoder, Stride, Tier,
 };
 use buscode::engine::SweepEngine;
 use buscode_core::rng::Rng64;
@@ -42,19 +43,9 @@ fn mixed_stream(width: BusWidth, stride: Stride, len: usize, seed: u64) -> Vec<A
 fn codec_pair(
     kind: CodeKind,
     params: CodeParams,
-    hardened: bool,
+    tier: Tier,
 ) -> (Box<dyn Encoder>, Box<dyn Decoder>) {
-    if hardened {
-        (
-            Box::new(kind.hardened_encoder(params, 16).expect("hardened encoder")),
-            Box::new(kind.hardened_decoder(params, 16).expect("hardened decoder")),
-        )
-    } else {
-        (
-            kind.encoder(params).expect("encoder"),
-            kind.decoder(params).expect("decoder"),
-        )
-    }
+    kind.build_codec(params, tier, 16).expect("codec pair")
 }
 
 /// Splits `len` items into randomized chunk lengths, deliberately
@@ -77,13 +68,13 @@ fn random_chunks(len: usize, rng: &mut Rng64) -> Vec<usize> {
     chunks
 }
 
-fn check_block_equivalence(kind: CodeKind, params: CodeParams, hardened: bool, seed: u64) {
+fn check_block_equivalence(kind: CodeKind, params: CodeParams, tier: Tier, seed: u64) {
     let stream = mixed_stream(params.width, params.stride, 400, seed);
-    let label = format!("{kind} width {} hardened {hardened}", params.width.bits());
+    let label = format!("{kind} width {} tier {tier}", params.width.bits());
 
     // Encode: word-by-word reference vs randomized blocks.
-    let (mut enc_ref, mut dec_ref) = codec_pair(kind, params, hardened);
-    let (mut enc_blk, mut dec_blk) = codec_pair(kind, params, hardened);
+    let (mut enc_ref, mut dec_ref) = codec_pair(kind, params, tier);
+    let (mut enc_blk, mut dec_blk) = codec_pair(kind, params, tier);
     let words_ref: Vec<BusState> = stream.iter().map(|&a| enc_ref.encode(a)).collect();
     let mut words_blk = Vec::new();
     let mut rng = Rng64::seed_from_u64(seed ^ 0xb10c);
@@ -129,9 +120,9 @@ fn block_api_matches_per_word_for_every_code() {
         let stride = Stride::new(4, width).expect("valid stride");
         let params = CodeParams { width, stride };
         for kind in CodeKind::all() {
-            for hardened in [false, true] {
-                let seed = 0x5eed ^ (u64::from(bits) << 8) ^ u64::from(hardened);
-                check_block_equivalence(kind, params, hardened, seed);
+            for &tier in Tier::all() {
+                let seed = 0x5eed ^ (u64::from(bits) << 8) ^ tier as u64;
+                check_block_equivalence(kind, params, tier, seed);
             }
         }
     }
@@ -147,9 +138,9 @@ fn zero_and_one_word_blocks_are_exact() {
     let stream = mixed_stream(params.width, params.stride, 3, 7);
     let kinds: Vec<AccessKind> = stream.iter().map(|a| a.kind).collect();
     for kind in CodeKind::all() {
-        for hardened in [false, true] {
-            let (mut enc_ref, mut dec_ref) = codec_pair(kind, params, hardened);
-            let (mut enc_blk, mut dec_blk) = codec_pair(kind, params, hardened);
+        for &tier in Tier::all() {
+            let (mut enc_ref, mut dec_ref) = codec_pair(kind, params, tier);
+            let (mut enc_blk, mut dec_blk) = codec_pair(kind, params, tier);
             let words: Vec<BusState> = stream.iter().map(|&a| enc_ref.encode(a)).collect();
 
             // Empty blocks are no-ops; one-word blocks equal `encode`.

@@ -1,7 +1,7 @@
 //! Resume-equals-straight-through: the [`Snapshot`] contract, swept over
 //! every code.
 //!
-//! For all 12 codes × widths {4, 8} × {bare, hardened}: encode/decode a
+//! For all 12 codes × widths {4, 8} × every tier: encode/decode a
 //! prefix of a stream, snapshot both halves of the codec, round-trip the
 //! images through their text form, restore them into freshly constructed
 //! codecs, and require the resumed pair to emit exactly the words and
@@ -11,7 +11,7 @@
 
 use buscode::core::rng::Rng64;
 use buscode::core::snapshot::{Snapshot, SnapshotDecoder, SnapshotEncoder, StateImage};
-use buscode::core::{Access, CodeKind, CodeParams};
+use buscode::core::{Access, CodeKind, CodeParams, Tier};
 use buscode::pipeline::{clean_channel, Pipeline, PipelineConfig};
 
 const WIDTHS: [u32; 2] = [4, 8];
@@ -44,19 +44,12 @@ fn stream(params: CodeParams, seed: u64) -> Vec<Access> {
 fn build_pair(
     kind: CodeKind,
     params: CodeParams,
-    hardened: bool,
+    tier: Tier,
 ) -> (Box<dyn SnapshotEncoder>, Box<dyn SnapshotDecoder>) {
-    if hardened {
-        (
-            kind.hardened_snapshot_encoder(params, REFRESH).unwrap(),
-            kind.hardened_snapshot_decoder(params, REFRESH).unwrap(),
-        )
-    } else {
-        (
-            kind.snapshot_encoder(params).unwrap(),
-            kind.snapshot_decoder(params).unwrap(),
-        )
-    }
+    (
+        kind.tier_snapshot_encoder(params, tier, REFRESH).unwrap(),
+        kind.tier_snapshot_decoder(params, tier, REFRESH).unwrap(),
+    )
 }
 
 /// Serializes an image to its text line and back, so the sweep also
@@ -65,20 +58,16 @@ fn through_text(image: &StateImage) -> StateImage {
     StateImage::parse_line(&image.to_line()).unwrap()
 }
 
-fn check_cell(kind: CodeKind, bits: u32, hardened: bool, split: usize) {
+fn check_cell(kind: CodeKind, bits: u32, tier: Tier, split: usize) {
     let params = CodeParams::new(bits, 1).unwrap();
-    let label = format!(
-        "{} width {bits} {} split {split}",
-        kind.name(),
-        if hardened { "hardened" } else { "bare" },
-    );
+    let label = format!("{} width {bits} {tier} split {split}", kind.name());
     let accesses = stream(params, 0xc4ec_4001 ^ (bits as u64) ^ (split as u64) << 8);
 
     // Straight-through reference.
-    let (mut ref_enc, mut ref_dec) = build_pair(kind, params, hardened);
+    let (mut ref_enc, mut ref_dec) = build_pair(kind, params, tier);
     // Interrupted run: encode/decode `split` words, snapshot, restore
     // into fresh codecs, continue.
-    let (mut enc, mut dec) = build_pair(kind, params, hardened);
+    let (mut enc, mut dec) = build_pair(kind, params, tier);
 
     for access in &accesses[..split] {
         let word = enc.encode(*access);
@@ -88,7 +77,7 @@ fn check_cell(kind: CodeKind, bits: u32, hardened: bool, split: usize) {
     }
 
     let (enc_image, dec_image) = (through_text(&enc.snapshot()), through_text(&dec.snapshot()));
-    let (mut enc, mut dec) = build_pair(kind, params, hardened);
+    let (mut enc, mut dec) = build_pair(kind, params, tier);
     enc.restore(&enc_image)
         .unwrap_or_else(|e| panic!("{label}: encoder restore: {e}"));
     dec.restore(&dec_image)
@@ -109,9 +98,9 @@ fn check_cell(kind: CodeKind, bits: u32, hardened: bool, split: usize) {
 fn resume_equals_straight_through_for_every_code() {
     for kind in CodeKind::all() {
         for bits in WIDTHS {
-            for hardened in [false, true] {
+            for &tier in Tier::all() {
                 for split in SPLITS {
-                    check_cell(kind, bits, hardened, split);
+                    check_cell(kind, bits, tier, split);
                 }
             }
         }

@@ -9,7 +9,7 @@
 //! geometry rests on across the full 2..=64 width sweep.
 
 use buscode::core::check::{check_ecc_all, CheckConfig};
-use buscode::core::codes::ecc_check_bits;
+use buscode::core::codes::{ecc_check_bits, EccHardened};
 use buscode::core::CodeKind;
 use buscode::core::{CodeParams, Decoder, Encoder};
 use buscode::logic::Netlist;
@@ -46,7 +46,7 @@ fn ecc_picks_minimal_check_bits_across_the_width_sweep() {
         let params = CodeParams::new(bits, stride).unwrap();
         for kind in CodeKind::all() {
             let inner_aux = kind.aux_line_count(params).unwrap();
-            let enc = kind.ecc_encoder(params, 16).unwrap();
+            let enc = EccHardened::encoder(kind.encoder(params).unwrap(), 16).unwrap();
             let n = bits + inner_aux;
             let r = enc.check_line_count();
             assert_eq!(r, ecc_check_bits(n), "{kind} width {bits}");
@@ -72,7 +72,8 @@ fn ecc_picks_minimal_check_bits_across_the_width_sweep() {
                 "{kind} width {bits}"
             );
             // The decoder half agrees on the geometry.
-            let dec = kind.ecc_decoder(params, 16).unwrap();
+            let dec =
+                EccHardened::with_aux_lines(kind.decoder(params).unwrap(), 16, inner_aux).unwrap();
             assert_eq!(dec.check_line_count(), r, "{kind} width {bits}");
             assert_eq!(dec.width().bits(), bits, "{kind} width {bits}");
         }

@@ -12,7 +12,7 @@
 //!
 //! [`Hardened`]: buscode::core::codes::Hardened
 
-use buscode::core::{CodeKind, CodeParams, CodecError, Decoder, Encoder};
+use buscode::core::{CodeKind, CodeParams, CodecError, Tier};
 use buscode::fault::models::apply_fault;
 use buscode::fault::{is_stateful, BusGeometry, FaultKind, FaultSite};
 use buscode_core::rng::Rng64;
@@ -37,8 +37,8 @@ fn hardened_stateful_codes_resync_within_the_refresh_interval() {
 fn check_one_trial(kind: CodeKind, params: CodeParams, refresh: u64, trial: u64, rng: &mut Rng64) {
     let stream =
         MuxedModel::with_targets(0.6304, 0.1139, 0.5762).generate(STREAM_LEN, 1_000 + trial);
-    let mut enc = kind
-        .hardened_encoder(params, refresh)
+    let (mut enc, mut dec) = kind
+        .build_codec(params, Tier::Parity, refresh)
         .expect("valid params");
     let geometry = BusGeometry::new(params.width.bits(), enc.aux_line_count());
     let words: Vec<_> = stream.iter().map(|&a| enc.encode(a)).collect();
@@ -46,9 +46,6 @@ fn check_one_trial(kind: CodeKind, params: CodeParams, refresh: u64, trial: u64,
     let site = FaultSite::draw(FaultKind::TransientFlip, words.len(), geometry, rng);
     let faulted = apply_fault(&words, &stream, geometry, site);
 
-    let mut dec = kind
-        .hardened_decoder(params, refresh)
-        .expect("valid params");
     // The first refresh boundary at or after the cycle *after* the fault:
     // by then the decoder must be exact again.
     let bound = (site.cycle as u64 / refresh + 1) * refresh;
