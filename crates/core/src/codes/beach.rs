@@ -212,8 +212,8 @@ impl Decoder for BeachDecoder {
 use crate::snapshot::{ImageReader, Snapshot, StateImage};
 
 impl Snapshot for BeachEncoder {
-    fn snapshot(&self) -> StateImage {
-        StateImage::new("beach", Vec::new())
+    fn snapshot_into(&self, image: &mut StateImage) {
+        image.refill("beach");
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
@@ -222,8 +222,8 @@ impl Snapshot for BeachEncoder {
 }
 
 impl Snapshot for BeachDecoder {
-    fn snapshot(&self) -> StateImage {
-        StateImage::new("beach", Vec::new())
+    fn snapshot_into(&self, image: &mut StateImage) {
+        image.refill("beach");
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {

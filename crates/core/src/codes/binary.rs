@@ -174,8 +174,8 @@ impl Decoder for BinaryDecoder {
 use crate::snapshot::{ImageReader, Snapshot, StateImage};
 
 impl Snapshot for BinaryEncoder {
-    fn snapshot(&self) -> StateImage {
-        StateImage::new("binary", Vec::new())
+    fn snapshot_into(&self, image: &mut StateImage) {
+        image.refill("binary");
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
@@ -184,8 +184,8 @@ impl Snapshot for BinaryEncoder {
 }
 
 impl Snapshot for BinaryDecoder {
-    fn snapshot(&self) -> StateImage {
-        StateImage::new("binary", Vec::new())
+    fn snapshot_into(&self, image: &mut StateImage) {
+        image.refill("binary");
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {

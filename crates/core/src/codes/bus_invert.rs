@@ -227,8 +227,10 @@ impl Decoder for BusInvertDecoder {
 use crate::snapshot::{ImageReader, Snapshot, StateImage};
 
 impl Snapshot for BusInvertEncoder {
-    fn snapshot(&self) -> StateImage {
-        StateImage::new("bus-invert", vec![self.prev_payload, self.prev_inv])
+    fn snapshot_into(&self, image: &mut StateImage) {
+        image
+            .refill("bus-invert")
+            .extend([self.prev_payload, self.prev_inv]);
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
@@ -248,8 +250,8 @@ impl Snapshot for BusInvertEncoder {
 }
 
 impl Snapshot for BusInvertDecoder {
-    fn snapshot(&self) -> StateImage {
-        StateImage::new("bus-invert", Vec::new())
+    fn snapshot_into(&self, image: &mut StateImage) {
+        image.refill("bus-invert");
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {

@@ -177,12 +177,11 @@ impl Decoder for DualT0Decoder {
 use crate::snapshot::{push_opt, ImageReader, Snapshot, StateImage};
 
 impl Snapshot for DualT0Encoder {
-    fn snapshot(&self) -> StateImage {
-        let mut words = Vec::with_capacity(4);
-        push_opt(&mut words, self.reference);
+    fn snapshot_into(&self, image: &mut StateImage) {
+        let words = image.refill("dual-t0");
+        push_opt(words, self.reference);
         words.push(self.prev_bus.payload);
         words.push(self.prev_bus.aux);
-        StateImage::new("dual-t0", words)
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
@@ -198,10 +197,8 @@ impl Snapshot for DualT0Encoder {
 }
 
 impl Snapshot for DualT0Decoder {
-    fn snapshot(&self) -> StateImage {
-        let mut words = Vec::with_capacity(2);
-        push_opt(&mut words, self.reference);
-        StateImage::new("dual-t0", words)
+    fn snapshot_into(&self, image: &mut StateImage) {
+        push_opt(image.refill("dual-t0"), self.reference);
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {

@@ -181,12 +181,11 @@ impl Decoder for DualT0BiDecoder {
 use crate::snapshot::{push_opt, ImageReader, Snapshot, StateImage};
 
 impl Snapshot for DualT0BiEncoder {
-    fn snapshot(&self) -> StateImage {
-        let mut words = Vec::with_capacity(4);
-        push_opt(&mut words, self.reference);
+    fn snapshot_into(&self, image: &mut StateImage) {
+        let words = image.refill("dual-t0-bi");
+        push_opt(words, self.reference);
         words.push(self.prev_bus.payload);
         words.push(self.prev_bus.aux);
-        StateImage::new("dual-t0-bi", words)
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
@@ -202,10 +201,8 @@ impl Snapshot for DualT0BiEncoder {
 }
 
 impl Snapshot for DualT0BiDecoder {
-    fn snapshot(&self) -> StateImage {
-        let mut words = Vec::with_capacity(2);
-        push_opt(&mut words, self.reference);
-        StateImage::new("dual-t0-bi", words)
+    fn snapshot_into(&self, image: &mut StateImage) {
+        push_opt(image.refill("dual-t0-bi"), self.reference);
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {

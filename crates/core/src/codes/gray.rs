@@ -275,8 +275,8 @@ impl Decoder for GrayDecoder {
 use crate::snapshot::{ImageReader, Snapshot, StateImage};
 
 impl Snapshot for GrayEncoder {
-    fn snapshot(&self) -> StateImage {
-        StateImage::new("gray", Vec::new())
+    fn snapshot_into(&self, image: &mut StateImage) {
+        image.refill("gray");
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
@@ -285,8 +285,8 @@ impl Snapshot for GrayEncoder {
 }
 
 impl Snapshot for GrayDecoder {
-    fn snapshot(&self) -> StateImage {
-        StateImage::new("gray", Vec::new())
+    fn snapshot_into(&self, image: &mut StateImage) {
+        image.refill("gray");
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {

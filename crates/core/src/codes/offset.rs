@@ -142,8 +142,8 @@ impl Decoder for OffsetDecoder {
 use crate::snapshot::{ImageReader, Snapshot, StateImage};
 
 impl Snapshot for OffsetEncoder {
-    fn snapshot(&self) -> StateImage {
-        StateImage::new("offset", vec![self.prev_address])
+    fn snapshot_into(&self, image: &mut StateImage) {
+        image.refill("offset").push(self.prev_address);
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
@@ -156,8 +156,8 @@ impl Snapshot for OffsetEncoder {
 }
 
 impl Snapshot for OffsetDecoder {
-    fn snapshot(&self) -> StateImage {
-        StateImage::new("offset", vec![self.prev_address])
+    fn snapshot_into(&self, image: &mut StateImage) {
+        image.refill("offset").push(self.prev_address);
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {

@@ -222,11 +222,9 @@ impl Decoder for SelfOrganizingDecoder {
 use crate::snapshot::{ImageReader, Snapshot, StateImage};
 
 impl SolState {
-    fn snapshot_words(&self) -> Vec<u64> {
-        let mut words = Vec::with_capacity(self.list.len() + 1);
+    fn snapshot_words(&self, words: &mut Vec<u64>) {
         words.push(self.list.len() as u64);
         words.extend_from_slice(&self.list);
-        words
     }
 
     /// Reads and validates a list state without mutating `self`.
@@ -242,8 +240,8 @@ impl SolState {
 }
 
 impl Snapshot for SelfOrganizingEncoder {
-    fn snapshot(&self) -> StateImage {
-        StateImage::new("self-org", self.state.snapshot_words())
+    fn snapshot_into(&self, image: &mut StateImage) {
+        self.state.snapshot_words(image.refill("self-org"));
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
@@ -256,8 +254,8 @@ impl Snapshot for SelfOrganizingEncoder {
 }
 
 impl Snapshot for SelfOrganizingDecoder {
-    fn snapshot(&self) -> StateImage {
-        StateImage::new("self-org", self.state.snapshot_words())
+    fn snapshot_into(&self, image: &mut StateImage) {
+        self.state.snapshot_words(image.refill("self-org"));
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {

@@ -212,12 +212,11 @@ impl Decoder for T0Decoder {
 use crate::snapshot::{push_opt, ImageReader, Snapshot, StateImage};
 
 impl Snapshot for T0Encoder {
-    fn snapshot(&self) -> StateImage {
-        let mut words = Vec::with_capacity(4);
-        push_opt(&mut words, self.prev_address);
+    fn snapshot_into(&self, image: &mut StateImage) {
+        let words = image.refill("t0");
+        push_opt(words, self.prev_address);
         words.push(self.prev_bus.payload);
         words.push(self.prev_bus.aux);
-        StateImage::new("t0", words)
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
@@ -233,10 +232,8 @@ impl Snapshot for T0Encoder {
 }
 
 impl Snapshot for T0Decoder {
-    fn snapshot(&self) -> StateImage {
-        let mut words = Vec::with_capacity(2);
-        push_opt(&mut words, self.prev_address);
-        StateImage::new("t0", words)
+    fn snapshot_into(&self, image: &mut StateImage) {
+        push_opt(image.refill("t0"), self.prev_address);
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {

@@ -174,8 +174,8 @@ impl Decoder for T0XorDecoder {
 use crate::snapshot::{ImageReader, Snapshot, StateImage};
 
 impl Snapshot for T0XorEncoder {
-    fn snapshot(&self) -> StateImage {
-        StateImage::new("t0-xor", vec![self.prev_address])
+    fn snapshot_into(&self, image: &mut StateImage) {
+        image.refill("t0-xor").push(self.prev_address);
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
@@ -188,8 +188,8 @@ impl Snapshot for T0XorEncoder {
 }
 
 impl Snapshot for T0XorDecoder {
-    fn snapshot(&self) -> StateImage {
-        StateImage::new("t0-xor", vec![self.prev_address])
+    fn snapshot_into(&self, image: &mut StateImage) {
+        image.refill("t0-xor").push(self.prev_address);
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {

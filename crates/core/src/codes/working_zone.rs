@@ -243,11 +243,10 @@ impl ZoneTable {
 }
 
 impl Snapshot for WorkingZoneEncoder {
-    fn snapshot(&self) -> StateImage {
-        let mut words = Vec::with_capacity(2 * self.zones.bases.len() + 2);
-        self.zones.snapshot_words(&mut words);
+    fn snapshot_into(&self, image: &mut StateImage) {
+        let words = image.refill("working-zone");
+        self.zones.snapshot_words(words);
         words.push(self.prev_zone_field);
-        StateImage::new("working-zone", words)
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
@@ -263,10 +262,8 @@ impl Snapshot for WorkingZoneEncoder {
 }
 
 impl Snapshot for WorkingZoneDecoder {
-    fn snapshot(&self) -> StateImage {
-        let mut words = Vec::with_capacity(2 * self.zones.bases.len() + 1);
-        self.zones.snapshot_words(&mut words);
-        StateImage::new("working-zone", words)
+    fn snapshot_into(&self, image: &mut StateImage) {
+        self.zones.snapshot_words(image.refill("working-zone"));
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {

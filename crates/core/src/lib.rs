@@ -47,6 +47,8 @@
 //! - [`codes`] — the encoding schemes themselves;
 //! - [`metrics`] — transition counting, savings, round-trip verification;
 //! - [`analysis`] — the closed-form models of the paper's Table 1;
+//! - [`crc`] — the table-driven CRCs behind link frames, the wire
+//!   protocol and checkpoints;
 //! - the crate root — bus vocabulary types ([`BusWidth`], [`Stride`],
 //!   [`Access`], [`BusState`]) and the [`Encoder`] / [`Decoder`] traits.
 
@@ -58,6 +60,7 @@ pub mod analysis;
 mod bus;
 pub mod check;
 pub mod codes;
+pub mod crc;
 mod error;
 mod kernels;
 pub mod metrics;

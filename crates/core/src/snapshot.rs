@@ -10,12 +10,19 @@
 //!
 //! Every encoder and decoder in this crate implements [`Snapshot`]:
 //!
-//! - [`Snapshot::snapshot`] serializes the codec's *dynamic* state (not
-//!   its construction parameters) into a [`StateImage`] — a code name
-//!   plus a flat vector of `u64` state words;
+//! - [`Snapshot::snapshot_into`] serializes the codec's *dynamic* state
+//!   (not its construction parameters) into a [`StateImage`] the caller
+//!   owns — a code name plus a flat vector of `u64` state words —
+//!   reusing the image's buffers, so a caller that keeps one image and
+//!   refills it allocates nothing once the buffers have grown;
+//!   [`Snapshot::snapshot`] is the same into a fresh image;
 //! - [`Snapshot::restore`] validates an image against the codec's code
 //!   name, expected word count, and per-word domains, then installs it.
 //!   On error the codec is left unchanged.
+//!
+//! The supervised pipeline in `buscode-pipeline` and the link receiver
+//! in `buscode-link` each keep one rollback image and refill it before
+//! every decode, restoring from it only when the decoder flags a word.
 //!
 //! Restoring assumes the receiving codec was constructed with the same
 //! parameters (width, stride, zone count…) as the one that produced the
@@ -62,7 +69,11 @@ use crate::traits::{CodeKind, CodeParams, Decoder, Encoder};
 /// ([`StateImage::to_line`] / [`StateImage::parse_line`]): the code name
 /// followed by the state words in hexadecimal, space-separated, on one
 /// line.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+///
+/// [`StateImage::default`] is an empty image: no code name, no words —
+/// the starting point of a rollback image that
+/// [`Snapshot::snapshot_into`] refills.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct StateImage {
     code: String,
     words: Vec<u64>,
@@ -85,6 +96,24 @@ impl StateImage {
     /// The raw state words.
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// Empties the image, names it `code`, and returns its word buffer
+    /// for the state words — the first step of every
+    /// [`Snapshot::snapshot_into`]. Both buffers keep their capacity.
+    pub fn refill(&mut self, code: &str) -> &mut Vec<u64> {
+        self.code.clear();
+        self.code.push_str(code);
+        self.words.clear();
+        &mut self.words
+    }
+
+    /// Renames the image `{prefix}:{code}` and appends `word`: how a
+    /// wrapper codec layers its own register over its inner codec's image.
+    pub(crate) fn wrap(&mut self, prefix: &str, word: u64) {
+        self.code.insert(0, ':');
+        self.code.insert_str(0, prefix);
+        self.words.push(word);
     }
 
     /// Renders the image as a single text line: the code name followed by
@@ -205,8 +234,16 @@ impl<'a> ImageReader<'a> {
 /// Capture and restore of a codec's dynamic state; see the
 /// [module docs](self).
 pub trait Snapshot {
-    /// Serializes the codec's dynamic state.
-    fn snapshot(&self) -> StateImage;
+    /// Serializes the codec's dynamic state into `image`, replacing what it
+    /// held and reusing its buffers (see [`StateImage::refill`]).
+    fn snapshot_into(&self, image: &mut StateImage);
+
+    /// Serializes the codec's dynamic state into a fresh image.
+    fn snapshot(&self) -> StateImage {
+        let mut image = StateImage::default();
+        self.snapshot_into(&mut image);
+        image
+    }
 
     /// Installs a state previously captured by [`Snapshot::snapshot`]
     /// from a codec constructed with the same parameters.
@@ -221,8 +258,8 @@ pub trait Snapshot {
 }
 
 impl<S: Snapshot + ?Sized> Snapshot for Box<S> {
-    fn snapshot(&self) -> StateImage {
-        (**self).snapshot()
+    fn snapshot_into(&self, image: &mut StateImage) {
+        (**self).snapshot_into(image);
     }
 
     fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {

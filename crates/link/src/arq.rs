@@ -23,7 +23,8 @@
 use std::collections::VecDeque;
 
 use buscode_core::{
-    Access, BusState, CodeKind, CodeParams, CodecError, SnapshotDecoder, SnapshotEncoder, Tier,
+    Access, BusState, CodeKind, CodeParams, CodecError, SnapshotDecoder, SnapshotEncoder,
+    StateImage, Tier,
 };
 use buscode_engine::Backoff;
 use buscode_fault::{BusGeometry, GeChannel, GeChannelStats, GeEvent, GilbertElliott};
@@ -408,6 +409,9 @@ pub struct LinkSession {
     /// Codec aux line counts per ladder rung, indexed by [`tier_rank`] —
     /// the receiver scans these to re-align after a tier change.
     aux_by_tier: [u32; 3],
+    /// The receiver's decoder state before the current frame's decode,
+    /// refilled in place on every frame: a flagged word restores it.
+    rollback: StateImage,
 }
 
 impl LinkSession {
@@ -448,6 +452,7 @@ impl LinkSession {
             sender_tier: start,
             receiver_tier: start,
             aux_by_tier,
+            rollback: StateImage::default(),
         })
     }
 
@@ -750,7 +755,7 @@ impl LinkSession {
             self.dec.reset();
         }
 
-        let image = self.dec.snapshot();
+        self.dec.snapshot_into(&mut self.rollback);
         let access = stream[*expected];
         match self.dec.decode(frame.word, access.kind) {
             Ok(address) => {
@@ -765,7 +770,7 @@ impl LinkSession {
             Err(_) => {
                 // The decoder flagged the word; roll its state back and
                 // ask for the frame again.
-                self.dec.restore(&image)?;
+                self.dec.restore(&self.rollback)?;
                 stats.decode_rejections += 1;
                 feedback.push_back((arrival, Feedback::Nak(*expected)));
             }

@@ -15,15 +15,19 @@
 //!   receiver must reset its decoder before decoding), bits 1–2 carry the
 //!   redundancy tier the sender encoded at (bare/parity/ECC), bit 3 is
 //!   reserved and must be zero;
-//! - **CRC** — a hand-rolled CRC-16-CCITT over SEQ, CTRL, and the encoded
-//!   word, so the receiver can reject corrupted frames *before* feeding
-//!   them to a stateful decoder.
+//! - **CRC** — a CRC-16-CCITT over SEQ, CTRL, and the encoded word (the
+//!   table-driven [`Crc16`] from `buscode_core::crc`), so the receiver can
+//!   reject corrupted frames *before* feeding them to a stateful decoder.
 //!
 //! The overhead lines ride the same physical channel as the codec lines:
 //! the Gilbert–Elliott weather flips them too, and their transitions are
 //! charged to the ARQ energy bill (`buscode-power::retransmission_cost`).
 
 use buscode_core::BusState;
+
+/// The streaming CRC-16-CCITT behind link frames and the `buscode-serve`
+/// wire protocol, re-exported from the core crate's one CRC module.
+pub use buscode_core::crc::Crc16;
 
 /// Sequence-number lines per frame.
 pub const SEQ_LINES: u32 = 8;
@@ -33,66 +37,6 @@ pub const CTRL_LINES: u32 = 4;
 pub const CRC_LINES: u32 = 16;
 /// Total link-layer overhead lines added to every frame.
 pub const OVERHEAD_LINES: u32 = SEQ_LINES + CTRL_LINES + CRC_LINES;
-
-/// The CRC-16-CCITT generator polynomial, x^16 + x^12 + x^5 + 1.
-const CRC_POLY: u16 = 0x1021;
-/// The conventional all-ones CRC preset.
-const CRC_INIT: u16 = 0xFFFF;
-
-/// A streaming CRC-16-CCITT (poly `0x1021`, init `0xFFFF`, MSB-first),
-/// bit-rolled by hand — no tables, no dependencies, same answer every
-/// time. The byte-oriented core behind both the link frames here and the
-/// `buscode-serve` wire protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Crc16(u16);
-
-impl Default for Crc16 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc16 {
-    /// A fresh accumulator at the all-ones preset.
-    #[must_use]
-    pub const fn new() -> Self {
-        Crc16(CRC_INIT)
-    }
-
-    /// Feeds one byte, MSB-first.
-    pub fn update(&mut self, byte: u8) {
-        let mut crc = self.0 ^ (u16::from(byte) << 8);
-        for _ in 0..8 {
-            crc = if crc & 0x8000 != 0 {
-                (crc << 1) ^ CRC_POLY
-            } else {
-                crc << 1
-            };
-        }
-        self.0 = crc;
-    }
-
-    /// Feeds a byte slice in order.
-    pub fn update_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.update(b);
-        }
-    }
-
-    /// The CRC over everything fed so far.
-    #[must_use]
-    pub const fn finish(self) -> u16 {
-        self.0
-    }
-
-    /// One-shot convenience over a byte slice.
-    #[must_use]
-    pub fn checksum(bytes: &[u8]) -> u16 {
-        let mut crc = Crc16::new();
-        crc.update_bytes(bytes);
-        crc.finish()
-    }
-}
 
 /// CRC-16-CCITT over the frame header and the encoded bus word.
 pub fn crc16(seq: u8, ctrl: u8, word: BusState) -> u16 {
@@ -204,21 +148,14 @@ mod tests {
 
     #[test]
     fn crc_matches_the_ccitt_check_value() {
-        // The classic CCITT-FALSE check: "123456789" -> 0x29B1. Feed the
-        // nine ASCII bytes through the same bit-roller the frames use.
-        let mut crc = CRC_INIT;
-        for &byte in b"123456789" {
-            crc ^= u16::from(byte) << 8;
-            for _ in 0..8 {
-                crc = if crc & 0x8000 != 0 {
-                    (crc << 1) ^ CRC_POLY
-                } else {
-                    crc << 1
-                };
-            }
-        }
-        assert_eq!(crc, 0x29B1);
+        // The classic CCITT-FALSE check: "123456789" -> 0x29B1, and the
+        // frame CRC is that checksum over SEQ, CTRL, payload and aux bytes.
         assert_eq!(Crc16::checksum(b"123456789"), 0x29B1);
+        let word = BusState::new(0x0123_4567_89AB_CDEF, 0x1FF);
+        let mut bytes = vec![42, 5];
+        bytes.extend_from_slice(&word.payload.to_le_bytes());
+        bytes.extend_from_slice(&word.aux.to_le_bytes());
+        assert_eq!(crc16(42, 5, word), Crc16::checksum(&bytes));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! The crate is three layers:
 //!
 //! - [`frame`] — wire frames: 8-bit sequence numbers, beacon/tier CTRL
-//!   bits, and a hand-rolled CRC-16-CCITT over the encoded word, packed
+//!   bits, and a table-driven CRC-16-CCITT over the encoded word, packed
 //!   as extra aux lines the channel corrupts like any other;
 //! - [`arq`] — the [`LinkSession`] state machine: windowed go-back-N
 //!   with cumulative ACKs, NAK/timeout rewinds under capped exponential

@@ -5,10 +5,11 @@
 //! Durability is two-layered: the `pipeline` binary writes checkpoints
 //! atomically (temp file + rename, so a crash never leaves a partial
 //! file under the final name), and the text itself carries a CRC-32
-//! (IEEE 802.3) over every preceding byte, so a truncated or bit-rotted
-//! checkpoint is rejected at parse time with a precise reason instead of
-//! restoring silently-wrong state.
+//! (IEEE 802.3, [`buscode_core::crc::crc32`]) over every preceding byte,
+//! so a truncated or bit-rotted checkpoint is rejected at parse time with
+//! a precise reason instead of restoring silently-wrong state.
 
+use buscode_core::crc::crc32;
 use buscode_core::{CodeKind, CodeParams, StateImage, Tier};
 
 use crate::policy::{DegradeSnapshot, Mode};
@@ -46,20 +47,6 @@ pub struct Checkpoint {
 }
 
 const HEADER: &str = "buscode-pipeline-checkpoint v1";
-
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) — hand-rolled
-/// bitwise form, dependency-free.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 impl Checkpoint {
     /// Renders the checkpoint as text.
@@ -392,13 +379,6 @@ mod tests {
             panic!("expected a checkpoint error, got {err:?}");
         };
         assert!(reason.contains("crc32 mismatch"), "{reason}");
-    }
-
-    #[test]
-    fn the_crc_implementation_matches_ieee_vectors() {
-        // The classic check value: CRC-32("123456789") = 0xcbf43926.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

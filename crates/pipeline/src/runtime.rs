@@ -2,7 +2,7 @@
 
 use buscode_core::{
     Access, BusState, CodeKind, CodeParams, CodecError, RecoveryClass, Snapshot, SnapshotDecoder,
-    SnapshotEncoder, Tier,
+    SnapshotEncoder, StateImage, Tier,
 };
 use buscode_telemetry::MetricSet;
 
@@ -250,6 +250,9 @@ pub struct Pipeline {
     stats: PipelineMetrics,
     position: u64,
     clock: Box<dyn Clock>,
+    /// The active decoder's state before the current word's first decode,
+    /// refilled in place on every word: a transient fault restores it.
+    rollback: StateImage,
 }
 
 type CodecPair = (Box<dyn SnapshotEncoder>, Box<dyn SnapshotDecoder>);
@@ -311,6 +314,7 @@ impl Pipeline {
             position: 0,
             clock,
             config,
+            rollback: StateImage::default(),
         })
     }
 
@@ -339,13 +343,6 @@ impl Pipeline {
         self.redundancy.tier()
     }
 
-    fn active_halves(&mut self) -> (&mut Box<dyn SnapshotEncoder>, &mut Box<dyn SnapshotDecoder>) {
-        match self.degrade.mode() {
-            Mode::Normal => (&mut self.enc, &mut self.dec),
-            Mode::Degraded => (&mut self.plain_enc, &mut self.plain_dec),
-        }
-    }
-
     /// Drives one access through encode → channel → decode under the
     /// supervisor, applying the recovery and degradation policies.
     ///
@@ -370,9 +367,12 @@ impl Pipeline {
         // the counter delta is the only trace they leave.
         let corrected_before = self.dec.corrected_count();
 
-        let (enc, dec) = self.active_halves();
+        let (enc, dec) = match self.degrade.mode() {
+            Mode::Normal => (&mut self.enc, &mut self.dec),
+            Mode::Degraded => (&mut self.plain_enc, &mut self.plain_dec),
+        };
         let wire_word = enc.encode(access);
-        let pre_decode = dec.snapshot();
+        dec.snapshot_into(&mut self.rollback);
         let mut outcome = decode_once(dec.as_mut(), channel, position, wire_word, access, expected);
 
         // Transient faults: roll the decoder back and retransmit, with
@@ -392,8 +392,7 @@ impl Pipeline {
                 self.stats.retries += 1;
                 self.stats.backoff_cycles += backoff.delay(attempt);
                 attempt += 1;
-                let (_, dec) = self.active_halves();
-                dec.restore(&pre_decode)
+                dec.restore(&self.rollback)
                     .map_err(|error| PipelineError::Fatal {
                         word: position,
                         error,
@@ -431,7 +430,6 @@ impl Pipeline {
                     for _ in 0..recovery.resync_bound.max(1) {
                         gap += 1;
                         self.stats.forced_resyncs += 1;
-                        let (enc, dec) = self.active_halves();
                         enc.reset();
                         dec.reset();
                         let plain_word = enc.encode(access);

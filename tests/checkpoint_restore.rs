@@ -7,7 +7,9 @@
 //! codecs, and require the resumed pair to emit exactly the words and
 //! addresses a never-interrupted pair produces. This is the property the
 //! `buscode-pipeline` checkpoint/restore path (and its `pipeline --resume`
-//! CLI flag) relies on.
+//! CLI flag) relies on. One image refilled in place by every decoder in
+//! turn must match a fresh snapshot each time, as the pipeline's and the
+//! link receiver's rollback images rely on.
 
 use buscode::core::rng::Rng64;
 use buscode::core::snapshot::{Snapshot, SnapshotDecoder, SnapshotEncoder, StateImage};
@@ -19,13 +21,13 @@ const REFRESH: u64 = 8;
 const STREAM_LEN: usize = 400;
 const SPLITS: [usize; 3] = [1, 57, 200];
 
-/// A mixed instruction/data stream in the code's address range, seeded
-/// per (code, width) so every cell sees different data.
-fn stream(params: CodeParams, seed: u64) -> Vec<Access> {
+/// A `len`-word mixed instruction/data stream in the code's address
+/// range, seeded per (code, width) so every cell sees different data.
+fn stream(params: CodeParams, seed: u64, len: usize) -> Vec<Access> {
     let mut rng = Rng64::seed_from_u64(seed);
     let mask = params.width.mask();
     let mut addr = 0u64;
-    (0..STREAM_LEN)
+    (0..len)
         .map(|_| {
             if rng.gen_bool(0.7) {
                 addr = if rng.gen_bool(0.6) {
@@ -61,7 +63,11 @@ fn through_text(image: &StateImage) -> StateImage {
 fn check_cell(kind: CodeKind, bits: u32, tier: Tier, split: usize) {
     let params = CodeParams::new(bits, 1).unwrap();
     let label = format!("{} width {bits} {tier} split {split}", kind.name());
-    let accesses = stream(params, 0xc4ec_4001 ^ (bits as u64) ^ (split as u64) << 8);
+    let accesses = stream(
+        params,
+        0xc4ec_4001 ^ (bits as u64) ^ (split as u64) << 8,
+        STREAM_LEN,
+    );
 
     // Straight-through reference.
     let (mut ref_enc, mut ref_dec) = build_pair(kind, params, tier);
@@ -107,6 +113,41 @@ fn resume_equals_straight_through_for_every_code() {
     }
 }
 
+/// One image refilled by every code × tier decoder in turn, as the
+/// pipeline's rollback image is across demotions and tier switches: the
+/// buffers are reused across different names and word counts. After every
+/// word the refilled image must equal a fresh snapshot, and a twin decoder
+/// restored from it must carry on in lock-step.
+#[test]
+fn one_image_refills_through_every_decoder() {
+    let params = CodeParams::new(32, 4).unwrap();
+    let mut image = StateImage::default();
+    for kind in CodeKind::all() {
+        for &tier in Tier::all() {
+            let label = format!("{} {tier}", kind.name());
+            let (mut enc, mut dec) = build_pair(kind, params, tier);
+            let (_, mut twin) = build_pair(kind, params, tier);
+            for (i, access) in stream(params, 0x1a6e ^ kind as u64, 1000)
+                .into_iter()
+                .enumerate()
+            {
+                let word = enc.encode(access);
+                let addr = dec.decode(word, access.kind).unwrap();
+                assert_eq!(
+                    addr,
+                    twin.decode(word, access.kind).unwrap(),
+                    "{label}: {i}"
+                );
+                dec.snapshot_into(&mut image);
+                assert_eq!(image, dec.snapshot(), "{label}: word {i}");
+                twin.restore(&image)
+                    .unwrap_or_else(|e| panic!("{label}: word {i}: {e}"));
+                assert_eq!(twin.snapshot(), image, "{label}: word {i}");
+            }
+        }
+    }
+}
+
 #[test]
 fn snapshots_refuse_other_codes_images() {
     let params = CodeParams::new(8, 1).unwrap();
@@ -134,7 +175,7 @@ fn pipeline_checkpoint_resume_matches_straight_through() {
     for kind in [CodeKind::DualT0Bi, CodeKind::WorkingZone, CodeKind::Beach] {
         let mut config = PipelineConfig::new(kind, CodeParams::new(8, 1).unwrap());
         config.chunk_words = 64;
-        let accesses = stream(config.params, 0x9e37_79b9);
+        let accesses = stream(config.params, 0x9e37_79b9, STREAM_LEN);
 
         let mut straight = Pipeline::new(config).unwrap();
         straight
