@@ -7,8 +7,8 @@
 //! end to end:
 //!
 //! - [`wire`] — the length-prefixed frame protocol, CRC-16 protected
-//!   with the link layer's [`Crc16`](buscode_link::Crc16) core; every
-//!   malformed input is a typed [`WireError`], never a panic.
+//!   with the link layer's table-driven [`Crc16`](buscode_link::Crc16);
+//!   every malformed input is a typed [`WireError`], never a panic.
 //! - [`transport`] — the [`Transport`] seam:
 //!   a deterministic in-memory duplex for tests and a TCP binding for
 //!   deployment, both honouring the half-close contract the graceful

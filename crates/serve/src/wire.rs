@@ -6,11 +6,12 @@
 //! magic(2) │ version(1) │ type(1) │ length(4, LE) │ payload │ crc(2, LE)
 //! ```
 //!
-//! The CRC is the link layer's CRC-16-CCITT bit-roller
-//! ([`buscode_link::Crc16`]) over everything between the magic and the
-//! trailer — version, type, length, and payload — so a receiver rejects
-//! corrupted frames with a typed error before any session state is
-//! risked, exactly like the ARQ frames reject corrupted bus words.
+//! The CRC is the link layer's table-driven CRC-16-CCITT
+//! ([`buscode_link::Crc16`], slice-by-8) over everything between the
+//! magic and the trailer — version, type, length, and payload — so a
+//! receiver rejects corrupted frames with a typed error before any
+//! session state is risked, exactly like the ARQ frames reject corrupted
+//! bus words.
 //!
 //! The length field is validated against [`MAX_PAYLOAD_BYTES`] *before*
 //! any payload allocation, so an adversarial length can never balloon
