@@ -1,8 +1,9 @@
 //! `busserved` — the concurrent bus-encoding service.
 //!
 //! Listens on TCP (`--listen`), negotiates one pinned encoding pipeline
-//! per session, streams DATA batches through it under a bounded worker
-//! pool, sheds with typed RETRY-AFTER when queues fill, and drains
+//! per session, streams DATA batches through it on the session's own
+//! reader thread with at most `--jobs` sessions coded at once, sheds
+//! with typed RETRY-AFTER when queues fill, and drains
 //! gracefully (flushing every in-flight session) on an admin SHUTDOWN
 //! frame. `--self-test` runs the same stack over the in-memory
 //! transport with a closed-loop load and gates the accounting
@@ -30,7 +31,7 @@ fn usage() -> String {
          --deadline-micros N  expire batches older than N microseconds (default off)\n\
          --max-sessions N     concurrent session cap (default 256)\n\
          --retry-after-micros N  backoff hint in RETRY-AFTER replies (default 500)\n\
-         --jobs N             worker threads (0 = auto, default 1)"
+         --jobs N             sessions coded at once (0 = auto, default 1)"
     )
 }
 

@@ -4,7 +4,7 @@
 use buscode_core::{Access, CodeKind, Tier};
 
 use crate::transport::{RecvHalf, SendHalf, Transport};
-use crate::wire::{Message, WireError};
+use crate::wire::{encode_data, Message, WireError};
 
 /// Session parameters offered in the HELLO frame.
 #[derive(Clone, Copy, Debug)]
@@ -149,13 +149,7 @@ impl ClientSession {
     pub fn request(&mut self, accesses: &[Access]) -> Result<BatchReply, ClientError> {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        self.send.send(
-            &Message::Data {
-                seq,
-                accesses: accesses.to_vec(),
-            }
-            .encode(),
-        )?;
+        self.send.send(&encode_data(seq, accesses))?;
         match recv_message(&mut self.recv)? {
             Message::Decoded {
                 seq: reply_seq,
@@ -181,13 +175,7 @@ impl ClientSession {
     pub fn send_data(&mut self, accesses: &[Access]) -> Result<u32, ClientError> {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
-        self.send.send(
-            &Message::Data {
-                seq,
-                accesses: accesses.to_vec(),
-            }
-            .encode(),
-        )?;
+        self.send.send(&encode_data(seq, accesses))?;
         Ok(seq)
     }
 

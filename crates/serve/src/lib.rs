@@ -13,9 +13,10 @@
 //!   a deterministic in-memory duplex for tests and a TCP binding for
 //!   deployment, both honouring the half-close contract the graceful
 //!   drain depends on.
-//! - [`server`] — `busserved`'s runtime: bounded worker pool, bounded
-//!   per-session queues, typed RETRY-AFTER load shedding, queue-age
-//!   deadline watchdogs, and a zero-loss drain path.
+//! - [`server`] — `busserved`'s runtime: readers that code their own
+//!   sessions under a bounded number of permits, bounded per-session
+//!   queues, typed RETRY-AFTER load shedding, queue-age deadline
+//!   watchdogs, and a zero-loss drain path.
 //! - [`client`] — session negotiation and typed request/reply.
 //! - [`load`] — `busload`'s closed/open-loop generator replaying the
 //!   synthetic trace models, with log₂ latency histograms from

@@ -37,6 +37,10 @@ pub(crate) struct Chan<T> {
 struct ChanState<T> {
     queue: VecDeque<T>,
     closed: bool,
+    /// Receivers blocked in `pop_blocking`. It changes only under the
+    /// lock that guards `queue`, so a receiver that parks has already
+    /// seen the queue empty, and every later push sees it counted.
+    parked: usize,
 }
 
 impl<T> Chan<T> {
@@ -45,12 +49,17 @@ impl<T> Chan<T> {
             state: Mutex::new(ChanState {
                 queue: VecDeque::new(),
                 closed: false,
+                parked: 0,
             }),
             cv: Condvar::new(),
         }
     }
 
     /// Pushes an item; returns `false` if the channel is closed.
+    ///
+    /// The wake-up goes out after the lock is released, so the woken
+    /// receiver does not contend for it, and only when a receiver is
+    /// parked, so a push to a busy receiver makes no wake syscall.
     pub(crate) fn push(&self, item: T) -> bool {
         let mut state = match self.state.lock() {
             Ok(guard) => guard,
@@ -60,7 +69,11 @@ impl<T> Chan<T> {
             return false;
         }
         state.queue.push_back(item);
-        self.cv.notify_one();
+        let wake = state.parked > 0;
+        drop(state);
+        if wake {
+            self.cv.notify_one();
+        }
         true
     }
 
@@ -78,10 +91,12 @@ impl<T> Chan<T> {
             if state.closed {
                 return None;
             }
+            state.parked += 1;
             state = match self.cv.wait(state) {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
             };
+            state.parked -= 1;
         }
     }
 
@@ -518,6 +533,7 @@ pub fn connect_with_retry(addr: &str, attempts: u32) -> Result<TcpTransport, Wir
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{self, RecvTimeoutError};
 
     #[test]
     fn memory_pair_moves_frames_both_ways() {
@@ -545,6 +561,66 @@ mod tests {
         assert_eq!(b_recv.recv().unwrap(), Some(vec![1]));
         assert_eq!(b_recv.recv().unwrap(), Some(vec![2]));
         assert_eq!(b_recv.recv().unwrap(), None);
+    }
+
+    /// Every hop of a ping-pong parks its receiver, so a lost wake-up
+    /// stalls it for good; the watchdog turns that into a failure
+    /// instead of a hung test.
+    #[test]
+    fn ping_pong_loses_no_wake_up() {
+        const FRAMES: u32 = 100_000;
+        let (a, b) = memory_pair();
+        let (mut a_recv, mut a_send) = Box::new(a).split();
+        let (mut b_recv, mut b_send) = Box::new(b).split();
+        let echo = std::thread::spawn(move || {
+            while let Ok(Some(frame)) = b_recv.recv() {
+                if b_send.send(&frame).is_err() {
+                    break;
+                }
+            }
+        });
+        let (done, finished) = mpsc::channel();
+        let pinger = std::thread::spawn(move || {
+            for i in 0..FRAMES {
+                let frame = i.to_le_bytes();
+                a_send.send(&frame).unwrap();
+                assert_eq!(a_recv.recv().unwrap().as_deref(), Some(&frame[..]));
+            }
+            a_send.close();
+            done.send(()).unwrap();
+        });
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(120)) {
+            panic!("ping-pong stalled: a wake-up was lost");
+        }
+        pinger.join().unwrap();
+        echo.join().unwrap();
+    }
+
+    #[test]
+    fn parked_receiver_is_released_by_shutdown_read_and_close() {
+        for full_close in [false, true] {
+            let (a, b) = memory_pair();
+            // The peer's send half stays alive: dropping it would close
+            // the pipe on its own.
+            let (_a_recv, _a_send) = Box::new(a).split();
+            let pipe = Arc::clone(&b.incoming);
+            let (mut b_recv, mut b_send) = Box::new(b).split();
+            let (tx, rx) = mpsc::channel();
+            let receiver = std::thread::spawn(move || tx.send(b_recv.recv()).unwrap());
+            while pipe.state.lock().unwrap().parked == 0 {
+                std::thread::yield_now();
+            }
+            if full_close {
+                b_send.close();
+            } else {
+                b_send.shutdown_read();
+            }
+            let got = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the parked receiver was not released");
+            assert_eq!(got, Ok(None), "full close: {full_close}");
+            receiver.join().unwrap();
+        }
     }
 
     #[test]

@@ -38,8 +38,9 @@
 //! - [`buscode_serve`] (`serve`) — the concurrent encoding service
 //!   (`busserved`) and closed/open-loop load generator (`busload`): a
 //!   length-prefixed CRC-16 wire protocol over pluggable transports,
-//!   bounded worker pool with typed RETRY-AFTER load shedding, and a
-//!   zero-loss graceful drain;
+//!   sessions coded on their reader threads under a bounded number of
+//!   permits, typed RETRY-AFTER load shedding, and a zero-loss graceful
+//!   drain;
 //! - [`buscode_telemetry`] (`telemetry`) — the observability core: typed
 //!   counters, gauges, log-bucketed histograms and span timers, lock-free
 //!   shard registries merged deterministically, and the versioned metric
