@@ -20,6 +20,12 @@
 //!
 //! The transform is stateless and irredundant, and decoding solves the
 //! triangular system line by line.
+//!
+//! Encoding and decoding touch only the combined lines: a transform keeps
+//! the `(line, partner)` pairs of its combined lines in line order, so the
+//! untrained (identity) transform the code factories build costs a mask,
+//! as binary does, and a trained one costs one shift-and-XOR per combined
+//! line.
 
 use crate::bus::{Access, AccessKind, BusState, BusWidth};
 use crate::error::CodecError;
@@ -48,14 +54,32 @@ pub struct BeachCode {
     /// `partner[i] == i` means line `i` passes through unmodified;
     /// otherwise `partner[i] < i` and line `i` carries `in[i] ^ in[partner]`.
     partner: Vec<u32>,
+    /// The `(line, partner)` pairs of the combined lines, in ascending
+    /// line order. Derived from `partner` at construction, so it adds
+    /// nothing to the transform's identity.
+    combined: Vec<(u32, u32)>,
 }
 
 impl BeachCode {
     /// The identity transform: behaves exactly like binary encoding.
     pub fn identity(width: BusWidth) -> Self {
+        Self::from_partners(width, (0..width.bits()).collect())
+    }
+
+    /// Builds a transform from its partner map, recording the combined
+    /// lines. Every `partner[i]` must be `i` or a lower line.
+    fn from_partners(width: BusWidth, partner: Vec<u32>) -> Self {
+        debug_assert!(partner.iter().enumerate().all(|(i, &p)| p as usize <= i));
+        let combined = partner
+            .iter()
+            .enumerate()
+            .filter(|&(i, &p)| p as usize != i)
+            .map(|(i, &p)| (i as u32, p))
+            .collect();
         BeachCode {
             width,
-            partner: (0..width.bits()).collect(),
+            partner,
+            combined,
         }
     }
 
@@ -102,7 +126,7 @@ impl BeachCode {
                 best
             })
             .collect();
-        BeachCode { width, partner }
+        Self::from_partners(width, partner)
     }
 
     /// The bus width of this transform.
@@ -112,38 +136,27 @@ impl BeachCode {
 
     /// How many lines are XOR-combined (non-passthrough).
     pub fn combined_lines(&self) -> u32 {
-        self.partner
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| **p != *i as u32)
-            .count() as u32
+        self.combined.len() as u32
     }
 
+    /// Encodes a masked address: each combined line absorbs its partner's
+    /// input bit; every other line passes through.
     fn apply(&self, address: u64) -> u64 {
-        let mut out = 0u64;
-        for (i, &p) in self.partner.iter().enumerate() {
-            let bit = (address >> i) & 1;
-            let mixed = if p as usize == i {
-                bit
-            } else {
-                bit ^ ((address >> p) & 1)
-            };
-            out |= mixed << i;
+        let mut out = address;
+        for &(line, partner) in &self.combined {
+            out ^= (address >> partner & 1) << line;
         }
         out
     }
 
+    /// Decodes a masked bus word by solving the unit lower-triangular
+    /// system. The combined lines are visited in ascending order, and
+    /// every partner is a lower line — a passthrough line, or a combined
+    /// one already solved — so `address` holds its input bit by then.
     fn unapply(&self, encoded: u64) -> u64 {
-        // Solve the unit lower-triangular system line by line.
-        let mut address = 0u64;
-        for (i, &p) in self.partner.iter().enumerate() {
-            let out_bit = (encoded >> i) & 1;
-            let bit = if p as usize == i {
-                out_bit
-            } else {
-                out_bit ^ ((address >> p) & 1)
-            };
-            address |= bit << i;
+        let mut address = encoded;
+        for &(line, partner) in &self.combined {
+            address ^= (address >> partner & 1) << line;
         }
         address
     }
@@ -209,14 +222,14 @@ impl Decoder for BeachDecoder {
 
 // --- Snapshot support ------------------------------------------------------
 
-use crate::snapshot::{ImageReader, Snapshot, StateImage};
+use crate::snapshot::{ImageReader, ImageView, Snapshot, StateImage};
 
 impl Snapshot for BeachEncoder {
     fn snapshot_into(&self, image: &mut StateImage) {
         image.refill("beach");
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         ImageReader::open(image, "beach")?.finish()
     }
 }
@@ -226,7 +239,7 @@ impl Snapshot for BeachDecoder {
         image.refill("beach");
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         ImageReader::open(image, "beach")?.finish()
     }
 }
@@ -235,6 +248,38 @@ impl Snapshot for BeachDecoder {
 mod tests {
     use super::*;
     use crate::rng::Rng64;
+
+    /// Reference encoder: builds the output line by line over the whole
+    /// partner map.
+    fn apply_per_line(code: &BeachCode, address: u64) -> u64 {
+        let mut out = 0u64;
+        for (i, &p) in code.partner.iter().enumerate() {
+            let bit = (address >> i) & 1;
+            let mixed = if p as usize == i {
+                bit
+            } else {
+                bit ^ ((address >> p) & 1)
+            };
+            out |= mixed << i;
+        }
+        out
+    }
+
+    /// Reference decoder: solves the triangular system line by line over
+    /// the whole partner map.
+    fn unapply_per_line(code: &BeachCode, encoded: u64) -> u64 {
+        let mut address = 0u64;
+        for (i, &p) in code.partner.iter().enumerate() {
+            let out_bit = (encoded >> i) & 1;
+            let bit = if p as usize == i {
+                out_bit
+            } else {
+                out_bit ^ ((address >> p) & 1)
+            };
+            address |= bit << i;
+        }
+        address
+    }
 
     #[test]
     fn identity_transform_is_binary() {
@@ -246,15 +291,34 @@ mod tests {
 
     #[test]
     fn transform_is_invertible_for_any_partner_choice() {
+        // Random partner maps at every width class, plus transforms
+        // trained on random strided streams; both directions must match
+        // the per-line reference bit for bit.
         let mut rng = Rng64::seed_from_u64(71);
-        for _ in 0..20 {
-            let n = 16u32;
+        let mut codes = Vec::new();
+        for n in [1u32, 8, 16, 32, 33, 64] {
             let width = BusWidth::new(n).unwrap();
-            let partner: Vec<u32> = (0..n).map(|i| rng.gen_range(0..=i)).collect();
-            let code = BeachCode { width, partner };
+            for _ in 0..20 {
+                let partner: Vec<u32> = (0..n).map(|i| rng.gen_range(0..=i)).collect();
+                codes.push(BeachCode::from_partners(width, partner));
+            }
+            for _ in 0..3 {
+                let base = rng.gen::<u64>();
+                let stride = 1u64 << rng.gen_range(0..4u32);
+                let profile: Vec<u64> = (0..500)
+                    .map(|_| base.wrapping_add(stride * rng.gen_range(0..64u64)))
+                    .collect();
+                codes.push(BeachCode::train(width, profile.iter().copied()));
+            }
+        }
+        assert!(codes.iter().any(|c| c.combined_lines() > 0));
+        for code in &codes {
             for _ in 0..200 {
-                let v = rng.gen::<u64>() & width.mask();
-                assert_eq!(code.unapply(code.apply(v)), v);
+                let v = rng.gen::<u64>() & code.width.mask();
+                let encoded = code.apply(v);
+                assert_eq!(encoded, apply_per_line(code, v), "{code:?}");
+                assert_eq!(code.unapply(v), unapply_per_line(code, v), "{code:?}");
+                assert_eq!(code.unapply(encoded), v, "{code:?}");
             }
         }
     }

@@ -224,7 +224,7 @@ impl Decoder for BusInvertDecoder {
 
 // --- Snapshot support ------------------------------------------------------
 
-use crate::snapshot::{ImageReader, Snapshot, StateImage};
+use crate::snapshot::{ImageReader, ImageView, Snapshot, StateImage};
 
 impl Snapshot for BusInvertEncoder {
     fn snapshot_into(&self, image: &mut StateImage) {
@@ -233,7 +233,7 @@ impl Snapshot for BusInvertEncoder {
             .extend([self.prev_payload, self.prev_inv]);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "bus-invert")?;
         let prev_payload = r.word_at_most(self.width.mask())?;
         let inv_mask = if self.partitions.len() >= 64 {
@@ -254,7 +254,7 @@ impl Snapshot for BusInvertDecoder {
         image.refill("bus-invert");
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         ImageReader::open(image, "bus-invert")?.finish()
     }
 }

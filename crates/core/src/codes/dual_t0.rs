@@ -174,7 +174,7 @@ impl Decoder for DualT0Decoder {
 
 // --- Snapshot support ------------------------------------------------------
 
-use crate::snapshot::{push_opt, ImageReader, Snapshot, StateImage};
+use crate::snapshot::{push_opt, ImageReader, ImageView, Snapshot, StateImage};
 
 impl Snapshot for DualT0Encoder {
     fn snapshot_into(&self, image: &mut StateImage) {
@@ -184,7 +184,7 @@ impl Snapshot for DualT0Encoder {
         words.push(self.prev_bus.aux);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "dual-t0")?;
         let reference = r.opt_at_most(self.width.mask())?;
         let payload = r.word_at_most(self.width.mask())?;
@@ -201,7 +201,7 @@ impl Snapshot for DualT0Decoder {
         push_opt(image.refill("dual-t0"), self.reference);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "dual-t0")?;
         let reference = r.opt_at_most(self.width.mask())?;
         r.finish()?;

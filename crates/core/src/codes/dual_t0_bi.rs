@@ -178,7 +178,7 @@ impl Decoder for DualT0BiDecoder {
 
 // --- Snapshot support ------------------------------------------------------
 
-use crate::snapshot::{push_opt, ImageReader, Snapshot, StateImage};
+use crate::snapshot::{push_opt, ImageReader, ImageView, Snapshot, StateImage};
 
 impl Snapshot for DualT0BiEncoder {
     fn snapshot_into(&self, image: &mut StateImage) {
@@ -188,7 +188,7 @@ impl Snapshot for DualT0BiEncoder {
         words.push(self.prev_bus.aux);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "dual-t0-bi")?;
         let reference = r.opt_at_most(self.width.mask())?;
         let payload = r.word_at_most(self.width.mask())?;
@@ -205,7 +205,7 @@ impl Snapshot for DualT0BiDecoder {
         push_opt(image.refill("dual-t0-bi"), self.reference);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "dual-t0-bi")?;
         let reference = r.opt_at_most(self.width.mask())?;
         r.finish()?;

@@ -139,14 +139,14 @@ impl Decoder for OffsetDecoder {
 
 // --- Snapshot support ------------------------------------------------------
 
-use crate::snapshot::{ImageReader, Snapshot, StateImage};
+use crate::snapshot::{ImageReader, ImageView, Snapshot, StateImage};
 
 impl Snapshot for OffsetEncoder {
     fn snapshot_into(&self, image: &mut StateImage) {
         image.refill("offset").push(self.prev_address);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "offset")?;
         let prev_address = r.word_at_most(self.width.mask())?;
         r.finish()?;
@@ -160,7 +160,7 @@ impl Snapshot for OffsetDecoder {
         image.refill("offset").push(self.prev_address);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "offset")?;
         let prev_address = r.word_at_most(self.width.mask())?;
         r.finish()?;

@@ -122,7 +122,7 @@ use core::hash::{Hash, Hasher};
 
 use crate::bus::{Access, AccessKind, BusState, BusWidth};
 use crate::error::CodecError;
-use crate::snapshot::{Snapshot, StateImage};
+use crate::snapshot::{ImageView, Snapshot, StateImage};
 use crate::tier::Tier;
 use crate::traits::{CodeKind, CodeParams, Decoder, Encoder};
 
@@ -594,7 +594,7 @@ impl<C: Snapshot, K: LineCheck> Snapshot for Protected<C, K> {
         image.wrap(K::NAME, self.cycle);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mismatch = |reason| CodecError::SnapshotMismatch {
             code: K::NAME,
             reason,
@@ -611,10 +611,11 @@ impl<C: Snapshot, K: LineCheck> Snapshot for Protected<C, K> {
         if cycle >= self.refresh {
             return Err(mismatch("cycle counter outside the refresh interval"));
         }
-        // Restore the inner codec first: it validates before mutating, so
-        // a bad inner image leaves the whole wrapper unchanged.
+        // Restore the inner codec first, from a view of the inner part of
+        // this image: it validates before mutating, so a bad inner image
+        // leaves the whole wrapper unchanged.
         self.inner
-            .restore(&StateImage::new(inner_code, inner_words.to_vec()))?;
+            .restore_from(ImageView::new(inner_code, inner_words))?;
         self.cycle = cycle;
         Ok(())
     }

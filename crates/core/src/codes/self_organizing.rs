@@ -219,7 +219,7 @@ impl Decoder for SelfOrganizingDecoder {
 
 // --- Snapshot support ------------------------------------------------------
 
-use crate::snapshot::{ImageReader, Snapshot, StateImage};
+use crate::snapshot::{ImageReader, ImageView, Snapshot, StateImage};
 
 impl SolState {
     fn snapshot_words(&self, words: &mut Vec<u64>) {
@@ -227,15 +227,18 @@ impl SolState {
         words.extend_from_slice(&self.list);
     }
 
-    /// Reads and validates a list state without mutating `self`.
-    fn read_words(&self, r: &mut ImageReader<'_>) -> Result<Vec<u64>, CodecError> {
+    /// Reads and validates a list state without mutating `self`; the
+    /// entries are borrowed from the image's words.
+    fn read_words<'a>(&self, r: &mut ImageReader<'a>) -> Result<&'a [u64], CodecError> {
         let len = r.word_at_most(self.capacity as u64)? as usize;
-        let high_max = self.width.mask() >> self.low_bits;
-        let mut list = Vec::with_capacity(len);
-        for _ in 0..len {
-            list.push(r.word_at_most(high_max)?);
-        }
-        Ok(list)
+        r.words_at_most(len, self.width.mask() >> self.low_bits)
+    }
+
+    /// Installs a list [`SolState::read_words`] validated, refilling the
+    /// list's buffer in place.
+    fn install(&mut self, list: &[u64]) {
+        self.list.clear();
+        self.list.extend_from_slice(list);
     }
 }
 
@@ -244,11 +247,11 @@ impl Snapshot for SelfOrganizingEncoder {
         self.state.snapshot_words(image.refill("self-org"));
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "self-org")?;
         let list = self.state.read_words(&mut r)?;
         r.finish()?;
-        self.state.list = list;
+        self.state.install(list);
         Ok(())
     }
 }
@@ -258,11 +261,11 @@ impl Snapshot for SelfOrganizingDecoder {
         self.state.snapshot_words(image.refill("self-org"));
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "self-org")?;
         let list = self.state.read_words(&mut r)?;
         r.finish()?;
-        self.state.list = list;
+        self.state.install(list);
         Ok(())
     }
 }

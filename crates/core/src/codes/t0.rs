@@ -209,7 +209,7 @@ impl Decoder for T0Decoder {
 
 // --- Snapshot support ------------------------------------------------------
 
-use crate::snapshot::{push_opt, ImageReader, Snapshot, StateImage};
+use crate::snapshot::{push_opt, ImageReader, ImageView, Snapshot, StateImage};
 
 impl Snapshot for T0Encoder {
     fn snapshot_into(&self, image: &mut StateImage) {
@@ -219,7 +219,7 @@ impl Snapshot for T0Encoder {
         words.push(self.prev_bus.aux);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "t0")?;
         let prev_address = r.opt_at_most(self.width.mask())?;
         let payload = r.word_at_most(self.width.mask())?;
@@ -236,7 +236,7 @@ impl Snapshot for T0Decoder {
         push_opt(image.refill("t0"), self.prev_address);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "t0")?;
         let prev_address = r.opt_at_most(self.width.mask())?;
         r.finish()?;

@@ -174,7 +174,7 @@ impl Decoder for T0BiDecoder {
 
 // --- Snapshot support ------------------------------------------------------
 
-use crate::snapshot::{push_opt, ImageReader, Snapshot, StateImage};
+use crate::snapshot::{push_opt, ImageReader, ImageView, Snapshot, StateImage};
 
 impl Snapshot for T0BiEncoder {
     fn snapshot_into(&self, image: &mut StateImage) {
@@ -184,7 +184,7 @@ impl Snapshot for T0BiEncoder {
         words.push(self.prev_bus.aux);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "t0-bi")?;
         let prev_address = r.opt_at_most(self.width.mask())?;
         let payload = r.word_at_most(self.width.mask())?;
@@ -201,7 +201,7 @@ impl Snapshot for T0BiDecoder {
         push_opt(image.refill("t0-bi"), self.prev_address);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "t0-bi")?;
         let prev_address = r.opt_at_most(self.width.mask())?;
         r.finish()?;

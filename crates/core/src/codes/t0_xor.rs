@@ -171,14 +171,14 @@ impl Decoder for T0XorDecoder {
 
 // --- Snapshot support ------------------------------------------------------
 
-use crate::snapshot::{ImageReader, Snapshot, StateImage};
+use crate::snapshot::{ImageReader, ImageView, Snapshot, StateImage};
 
 impl Snapshot for T0XorEncoder {
     fn snapshot_into(&self, image: &mut StateImage) {
         image.refill("t0-xor").push(self.prev_address);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "t0-xor")?;
         let prev_address = r.word_at_most(self.width.mask())?;
         r.finish()?;
@@ -192,7 +192,7 @@ impl Snapshot for T0XorDecoder {
         image.refill("t0-xor").push(self.prev_address);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "t0-xor")?;
         let prev_address = r.word_at_most(self.width.mask())?;
         r.finish()?;

@@ -221,7 +221,7 @@ impl Decoder for WorkingZoneDecoder {
 
 // --- Snapshot support ------------------------------------------------------
 
-use crate::snapshot::{push_opt, ImageReader, Snapshot, StateImage};
+use crate::snapshot::{push_opt, ImageReader, ImageView, Snapshot, StateImage};
 
 impl ZoneTable {
     fn snapshot_words(&self, words: &mut Vec<u64>) {
@@ -231,14 +231,24 @@ impl ZoneTable {
         words.push(self.victim as u64);
     }
 
-    /// Reads and validates a table state without mutating `self`.
-    fn read_words(&self, r: &mut ImageReader<'_>) -> Result<(Vec<Option<u64>>, usize), CodecError> {
-        let mut bases = Vec::with_capacity(self.bases.len());
-        for _ in 0..self.bases.len() {
-            bases.push(r.opt_at_most(self.width.mask())?);
-        }
+    /// Reads and validates a table state without mutating `self`. The
+    /// bases are yielded from the image's words, for [`ZoneTable::install`].
+    fn read_words<'a>(
+        &self,
+        r: &mut ImageReader<'a>,
+    ) -> Result<(impl Iterator<Item = Option<u64>> + 'a, usize), CodecError> {
+        let bases = r.opts_at_most(self.bases.len(), self.width.mask())?;
         let victim = r.word_at_most(self.bases.len() as u64 - 1)? as usize;
         Ok((bases, victim))
+    }
+
+    /// Installs a state [`ZoneTable::read_words`] validated, refilling the
+    /// base registers in place.
+    fn install(&mut self, bases: impl Iterator<Item = Option<u64>>, victim: usize) {
+        for (slot, base) in self.bases.iter_mut().zip(bases) {
+            *slot = base;
+        }
+        self.victim = victim;
     }
 }
 
@@ -249,13 +259,12 @@ impl Snapshot for WorkingZoneEncoder {
         words.push(self.prev_zone_field);
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "working-zone")?;
         let (bases, victim) = self.zones.read_words(&mut r)?;
         let prev_zone_field = r.word_at_most(self.zones.bases.len() as u64 - 1)?;
         r.finish()?;
-        self.zones.bases = bases;
-        self.zones.victim = victim;
+        self.zones.install(bases, victim);
         self.prev_zone_field = prev_zone_field;
         Ok(())
     }
@@ -266,12 +275,11 @@ impl Snapshot for WorkingZoneDecoder {
         self.zones.snapshot_words(image.refill("working-zone"));
     }
 
-    fn restore(&mut self, image: &StateImage) -> Result<(), CodecError> {
+    fn restore_from(&mut self, image: ImageView<'_>) -> Result<(), CodecError> {
         let mut r = ImageReader::open(image, "working-zone")?;
         let (bases, victim) = self.zones.read_words(&mut r)?;
         r.finish()?;
-        self.zones.bases = bases;
-        self.zones.victim = victim;
+        self.zones.install(bases, victim);
         Ok(())
     }
 }

@@ -6,8 +6,11 @@
 //! `decode_block` must produce the same bus words, transition counts,
 //! per-line profiles and decoded addresses as the word-at-a-time path.
 //! These properties are exercised for every code at every protection tier
-//! (bare, parity, ECC), on narrow and full-width buses, with randomized
-//! block boundaries.
+//! (bare, parity, ECC), on narrow, 32-line and wider buses, with randomized
+//! block boundaries. The transition counts and line profiles are also
+//! checked on a long stream cut into blocks of up to 3048 words, which
+//! reach the packed kernels' full 64-word chunks and their positional
+//! harvest every 1984 words.
 
 use buscode_core::metrics::{
     count_transitions_per_word, count_transitions_slice, line_activity_per_word,
@@ -18,10 +21,13 @@ use buscode_core::{Access, AccessKind, BusState, CodeKind, CodeParams, Decoder, 
 
 const CASES: usize = 3;
 const STREAM_LEN: u64 = 400;
+/// The long stream of the count and activity properties.
+const LONG_STREAM_LEN: u64 = 4500;
 
 /// (width bits, stride) pairs: tiny buses exercise masking edge cases,
-/// 32 is the paper's MIPS bus with the packed kernels.
-const SHAPES: &[(u32, u64)] = &[(4, 2), (8, 4), (32, 4)];
+/// 32 is the paper's MIPS bus with the packed kernels, 31 the widest
+/// masked kernel shape, and 33 and 64 run past the packed kernels.
+const SHAPES: &[(u32, u64)] = &[(4, 2), (8, 4), (31, 4), (32, 4), (33, 4), (64, 4)];
 
 fn mixed_stream(rng: &mut Rng64, params: CodeParams, n: u64) -> Vec<Access> {
     let mask = params.width.mask();
@@ -40,12 +46,18 @@ fn mixed_stream(rng: &mut Rng64, params: CodeParams, n: u64) -> Vec<Access> {
         .collect()
 }
 
-/// Cuts `s` into random blocks, deliberately including empty ones.
-fn random_blocks<'a>(rng: &mut Rng64, s: &'a [Access]) -> Vec<&'a [Access]> {
+/// Cuts `s` into random blocks of up to 69 words, deliberately including
+/// empty ones. With `long`, every second block is 2049–3048 words
+/// instead.
+fn random_blocks<'a>(rng: &mut Rng64, s: &'a [Access], long: bool) -> Vec<&'a [Access]> {
     let mut blocks = Vec::new();
     let mut at = 0usize;
     while at < s.len() {
-        let len = (rng.gen::<u64>() % 70) as usize;
+        let len = if long && blocks.len() % 2 == 1 {
+            2049 + (rng.gen::<u64>() % 1000) as usize
+        } else {
+            (rng.gen::<u64>() % 70) as usize
+        };
         let end = (at + len).min(s.len());
         blocks.push(&s[at..end]);
         at = end;
@@ -81,7 +93,7 @@ fn encode_block_matches_per_word_at_random_boundaries() {
             let reference: Vec<BusState> = stream.iter().map(|&a| enc.encode(a)).collect();
             enc.reset();
             let mut blocked = Vec::new();
-            for blk in random_blocks(&mut rng, &stream) {
+            for blk in random_blocks(&mut rng, &stream, false) {
                 enc.encode_block(blk, &mut blocked);
             }
             assert_eq!(reference, blocked, "{ctx}");
@@ -89,19 +101,27 @@ fn encode_block_matches_per_word_at_random_boundaries() {
     });
 }
 
+/// The count and activity cases: `CASES` short streams cut into short
+/// blocks, then one long stream cut with long blocks among them.
+fn cases() -> impl Iterator<Item = (u64, bool)> {
+    (0..CASES)
+        .map(|_| (STREAM_LEN, false))
+        .chain([(LONG_STREAM_LEN, true)])
+}
+
 #[test]
 fn count_block_matches_per_word_at_random_boundaries() {
     let mut rng = Rng64::seed_from_u64(0xb10c_0002);
     for_each_codec(|kind, params, tier| {
-        for case in 0..CASES {
-            let stream = mixed_stream(&mut rng, params, STREAM_LEN);
+        for (case, (len, long)) in cases().enumerate() {
+            let stream = mixed_stream(&mut rng, params, len);
             let ctx = format!("{kind} {tier} {params:?} case {case}");
             let (mut enc, _) = codec(kind, params, tier);
             let reference = count_transitions_per_word(enc.as_mut(), stream.iter().copied());
             enc.reset();
             let mut stats = TransitionStats::default();
             let mut prev = BusState::reset();
-            for blk in random_blocks(&mut rng, &stream) {
+            for blk in random_blocks(&mut rng, &stream, long) {
                 enc.count_block(blk, &mut prev, &mut stats);
             }
             assert_eq!(reference, stats, "{ctx}");
@@ -119,15 +139,15 @@ fn count_block_matches_per_word_at_random_boundaries() {
 fn activity_block_matches_per_word_at_random_boundaries() {
     let mut rng = Rng64::seed_from_u64(0xb10c_0003);
     for_each_codec(|kind, params, tier| {
-        for case in 0..CASES {
-            let stream = mixed_stream(&mut rng, params, STREAM_LEN);
+        for (case, (len, long)) in cases().enumerate() {
+            let stream = mixed_stream(&mut rng, params, len);
             let ctx = format!("{kind} {tier} {params:?} case {case}");
             let (mut enc, _) = codec(kind, params, tier);
             let reference = line_activity_per_word(enc.as_mut(), stream.iter().copied());
             enc.reset();
             let mut activity = LineActivity::for_encoder(enc.as_ref());
             let mut prev = BusState::reset();
-            for blk in random_blocks(&mut rng, &stream) {
+            for blk in random_blocks(&mut rng, &stream, long) {
                 enc.activity_block(blk, &mut prev, &mut activity);
             }
             assert_eq!(reference, activity, "{ctx}");
@@ -158,7 +178,7 @@ fn decode_block_round_trips_at_random_boundaries() {
         enc.encode_block(&stream, &mut words);
         let mut decoded = Vec::new();
         let mut at = 0usize;
-        for blk in random_blocks(&mut rng, &stream) {
+        for blk in random_blocks(&mut rng, &stream, false) {
             let kinds: Vec<AccessKind> = blk.iter().map(|a| a.kind).collect();
             dec.decode_block(&words[at..at + blk.len()], &kinds, &mut decoded)
                 .unwrap_or_else(|e| panic!("{ctx}: {e}"));
